@@ -11,8 +11,8 @@ not block anything: the affected part of the tree is copied under a fresh
 reading tag and the offer is repeated against the copy.
 
 All linguistic knowledge enters through the registered lookup services
-(resolve_entry, unify, subsumes, subclass_of, is_a, role_permits); the
-handlers themselves only route messages and keep actor-local state.
+(resolve_entry, unify, subclass_of, role_permits); the handlers themselves
+only route messages and keep actor-local state.
 """
 
 from __future__ import annotations
@@ -857,10 +857,8 @@ def build_system(lexicon, kb, tokens, *, seed=0, mode="sequential",
     system.register_behavior(word_behavior())
     system.register_behavior(scanner_behavior())
     system.register_service("unify", ft.unify)
-    system.register_service("subsumes", ft.subsumes)
     system.register_service("subclass_of",
                             lambda sub, sup: lx.subclass_of(lexicon, sub, sup))
-    system.register_service("is_a", lambda sub, sup: cn.is_a(kb, sub, sup))
     system.register_service("role_permits",
                             lambda h, r, f: cn.role_permits(kb, h, r, f))
     system.register_service("resolve_entry",

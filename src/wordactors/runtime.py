@@ -79,6 +79,12 @@ class BehaviorDef:
     declare the keys the pre/post-distribution hooks may forward.  The
     runtime enforces conformance: a computation may only emit keys that its
     declaration admits.
+
+    The table of admitted keys is derived from the declarations once, at
+    construction, by the same ``events.derive_script`` walk the event type
+    network uses.  To change a behavior's declarations, make a new one with
+    ``dataclasses.replace``: editing ``action_trees`` or
+    ``distribution_sends`` in place leaves the table stale.
     """
     name: str
     handlers: dict = field(default_factory=dict)
@@ -86,10 +92,14 @@ class BehaviorDef:
     distribution_sends: dict = field(default_factory=dict)
     pre_distribution: dict = field(default_factory=dict)
     post_distribution: dict = field(default_factory=dict)
+    _allowed: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._allowed = {key: frozenset(k for (k, _, _) in pairs)
+                         for key, pairs in ev.derive_script(self).items()}
 
     def allowed_keys(self, key: str) -> frozenset:
-        pairs = ev.derive_script(self).get(key, set())
-        return frozenset(k for (k, _, _) in pairs)
+        return self._allowed.get(key, frozenset())
 
 
 @dataclass
@@ -254,15 +264,17 @@ class System:
         order = list(range(len(pending)))
         self._rng.shuffle(order)
         taken_targets = set()
-        taken_indices = []
+        taken_indices = set()
+        batch = []
         for i in order:
             target = pending[i][0]
             if target not in taken_targets:
                 taken_targets.add(target)
-                taken_indices.append(i)
-        self._batch = [pending[i] for i in taken_indices]
-        for i in sorted(taken_indices, reverse=True):
-            pending.pop(i)
+                taken_indices.add(i)
+                batch.append(pending[i])
+        batch.reverse()  # delivered by popping from the end
+        self._batch = batch
+        pending[:] = [item for i, item in enumerate(pending) if i not in taken_indices]
 
     def deliver_next(self) -> Optional[ev.Event]:
         """Deliver one envelope; None at quiescence."""
@@ -271,7 +283,7 @@ class System:
                 if not self.scheduler.pending:
                     return None
                 self._fill_batch()
-            target, envelope, cause = self._batch.pop(0)
+            target, envelope, cause = self._batch.pop()
         else:
             if not self.scheduler.pending:
                 return None

@@ -1,6 +1,7 @@
 """The word-actor protocol end to end: attachment, deferral, receipts,
 ambiguity splitting, and the invariants that hold at quiescence."""
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -9,6 +10,7 @@ from helpers import DEMO_EDGES, DEMO_SENTENCE, corpus_cases
 
 from wordactors import events as ev
 from wordactors import protocol as pt
+from wordactors import runtime as rt
 from wordactors.features import parse_fs
 from wordactors.oracle import oracle_parse
 
@@ -192,3 +194,29 @@ def test_scan_accounting_balances(demo_lexicon, demo_kb):
                          + stats["ledger_closes"] + stats["final_root_starts"]
                          + stats["lenient_skips"])
         assert stats["spawning_deliveries"] == len(tokens)
+
+
+# -- contract tables ----------------------------------------------------------
+
+def test_contract_table_is_the_key_projection_of_the_script():
+    for behavior in pt.protocol_behaviors():
+        script = ev.derive_script(behavior)
+        for key, pairs in script.items():
+            assert behavior.allowed_keys(key) == {sent for sent, _, _ in pairs}
+        assert behavior.allowed_keys("noSuchKey") == frozenset()
+
+
+def test_contract_table_follows_the_instance(demo_lexicon, demo_kb):
+    word = pt.word_behavior()
+    mutant = dataclasses.replace(
+        word, action_trees={**word.action_trees, pt.SEARCH_HEAD: ev.Seq()})
+    # only the distribution forward stays declared for the emptied key
+    assert mutant.allowed_keys(pt.SEARCH_HEAD) == {pt.SEARCH_HEAD}
+    assert word.allowed_keys(pt.SEARCH_HEAD) > {pt.SEARCH_HEAD}
+
+    tokens = "Compaq liefert einen Rechner".split()
+    system, scanner = pt.build_system(demo_lexicon, demo_kb, tokens)
+    system.register_behavior(mutant)
+    system.kick(scanner, pt.SCAN_NEXT)
+    with pytest.raises(rt.ContractViolation, match="undeclared key"):
+        system.run_to_quiescence()
