@@ -7,8 +7,10 @@ scheduler seeds and diffs the actor parser against the brute-force
 reference parser.
 
 Exit codes for ``parse``: 0 with at least one reading, 2 with none, 1 on
-any error.  The other commands exit 0 on success and 1 otherwise.  Output
-is byte-stable for identical inputs in sequential mode.
+any error.  The other commands exit 0 on success and 1 otherwise.  A usage
+error (unknown option, malformed value) is an error too and exits 1;
+``--help`` exits 0.  Output is byte-stable for identical inputs in
+sequential mode.
 """
 
 from __future__ import annotations
@@ -152,8 +154,17 @@ def cmd_oracle_compare(args) -> int:
     return 1 if mismatches else 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error; here 2 means "no complete
+    reading", so usage errors exit 1 like every other error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_argparser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="wordactors",
         description="Concurrent dependency parsing with one actor per word.")
     sub = parser.add_subparsers(dest="command", required=True)

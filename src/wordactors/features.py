@@ -21,9 +21,17 @@ _NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ012345678
 
 
 class FeatureStructure:
-    """An immutable attribute-to-value mapping."""
+    """An immutable attribute-to-value mapping.
 
-    __slots__ = ("_pairs", "_hash")
+    The public constructor accepts any mapping and normalizes it: attributes
+    sorted, strings and collections turned into atom sets, nested mappings
+    into structures.  Unification builds its results from parts that are
+    already canonical and skips that work.  The canonical text is computed
+    lazily by ``render_fs`` and cached in the structure; it never takes
+    part in equality, hashing or pickling.
+    """
+
+    __slots__ = ("_pairs", "_hash", "_text")
 
     def __init__(self, mapping: Mapping[str, object] = ()):
         source = dict(mapping)
@@ -32,6 +40,22 @@ class FeatureStructure:
             pairs[attr] = _coerce_value(attr, source[attr])
         self._pairs = pairs
         self._hash = hash(tuple(self._pairs.items()))
+        self._text = None
+
+    @classmethod
+    def _from_sorted(cls, pairs: dict) -> "FeatureStructure":
+        """Adopt ``pairs`` as they are: attributes already sorted, values
+        already canonical (non-empty atom frozensets or structures)."""
+        fs = cls.__new__(cls)
+        fs._pairs = pairs
+        fs._hash = hash(tuple(pairs.items()))
+        fs._text = None
+        return fs
+
+    def __reduce__(self):
+        # The cached hash of atom strings is only valid in the process that
+        # computed it, so a pickle carries the pairs alone.
+        return (FeatureStructure._from_sorted, (self._pairs,))
 
     def attributes(self) -> Iterator[str]:
         return iter(self._pairs)
@@ -81,25 +105,38 @@ def unify(a: FeatureStructure, b: FeatureStructure) -> Optional[FeatureStructure
     attributes intersect; shared nested attributes unify recursively.  An
     atom set meeting a nested structure fails.
     """
-    merged = dict(a.items())
-    for attr, bval in b.items():
-        if attr not in merged:
+    if not b._pairs:
+        return a
+    if not a._pairs:
+        return b
+    merged = dict(a._pairs)
+    added = changed = False
+    for attr, bval in b._pairs.items():
+        aval = merged.get(attr)
+        if aval is None:
             merged[attr] = bval
-            continue
-        aval = merged[attr]
-        if isinstance(aval, frozenset) and isinstance(bval, frozenset):
+            added = True
+        elif isinstance(aval, frozenset) and isinstance(bval, frozenset):
             common = aval & bval
             if not common:
                 return None
-            merged[attr] = common
+            if len(common) < len(aval):
+                merged[attr] = common
+                changed = True
         elif isinstance(aval, FeatureStructure) and isinstance(bval, FeatureStructure):
             sub = unify(aval, bval)
             if sub is None:
                 return None
-            merged[attr] = sub
+            if sub is not aval:
+                merged[attr] = sub
+                changed = True
         else:
             return None
-    return FeatureStructure(merged)
+    if not (added or changed):
+        return a
+    if added:
+        merged = dict(sorted(merged.items()))
+    return FeatureStructure._from_sorted(merged)
 
 
 def subsumes(general: FeatureStructure, specific: FeatureStructure) -> bool:
@@ -188,10 +225,13 @@ def parse_fs(text: str) -> FeatureStructure:
 
 def render_fs(fs: FeatureStructure) -> str:
     """Render canonically: attributes and atom sets sorted, stable bytes."""
-    parts = []
-    for attr, value in fs.items():
-        if isinstance(value, FeatureStructure):
-            parts.append(f"{attr}: {render_fs(value)}")
-        else:
-            parts.append(f"{attr}: {'|'.join(sorted(value))}")
-    return "{" + ", ".join(parts) + "}"
+    text = fs._text
+    if text is None:
+        parts = []
+        for attr, value in fs._pairs.items():
+            if isinstance(value, FeatureStructure):
+                parts.append(f"{attr}: {render_fs(value)}")
+            else:
+                parts.append(f"{attr}: {'|'.join(sorted(value))}")
+        text = fs._text = "{" + ", ".join(parts) + "}"
+    return text

@@ -280,14 +280,22 @@ def _ancestry(lex: Lexicon, word_class: str) -> list:
 
 def _override_merge(base: FeatureStructure, over: FeatureStructure) -> FeatureStructure:
     """Layer ``over`` onto ``base``; on atomic conflict the override wins."""
+    if over.is_empty():
+        return base
+    if base.is_empty():
+        return over
     merged = dict(base.items())
+    added = False
     for attr, oval in over.items():
         bval = merged.get(attr)
         if isinstance(bval, FeatureStructure) and isinstance(oval, FeatureStructure):
             merged[attr] = _override_merge(bval, oval)
         else:
+            added = added or bval is None
             merged[attr] = oval
-    return FeatureStructure(merged)
+    if added:
+        merged = dict(sorted(merged.items()))
+    return FeatureStructure._from_sorted(merged)
 
 
 def resolve_entry(lex: Lexicon, surface: str) -> list:

@@ -438,9 +438,10 @@ def _split_reading(ctx, env):
              reading=branch, new_root=twin)
 
 
-def _spawn_copy(ctx, state, branch, head_link, exclude):
+def _spawn_copy(ctx, state, branch, head_link, exclude, pending_offer=None):
     """One node of a structure copy.  Valencies start empty; the rebuild
-    acceptances from the copied modifiers fill them back in."""
+    acceptances from the copied modifiers fill them back in.  A withheld
+    receipt the copy takes over arrives as ``pending_offer``."""
     reg = _registry(ctx)
     rebuilds = {label for label, fill in _visible_fills(state, reg, branch)
                 if fill.filler != exclude}
@@ -453,7 +454,8 @@ def _spawn_copy(ctx, state, branch, head_link, exclude):
         head_links=[head_link] if head_link is not None else [],
         phase=GOVERNED if head_link is not None else state.phase,
         left_edge=state.position, right_edge=state.position,
-        expected_rebuilds=rebuilds, origin_of=ctx.actor_id)
+        pending_offer=pending_offer, expected_rebuilds=rebuilds,
+        origin_of=ctx.actor_id)
     return ctx.spawn("word", state.surface, twin)
 
 
@@ -676,10 +678,10 @@ def on_duplicate_structure(ctx, env):
     state.pending_offer = None
     exclude = held.candidate
 
-    twin = _spawn_copy(ctx, state, branch, head_link=None, exclude=exclude)
     # The copy owes the receipt now, but in the original's name and for the
     # original reading: the searcher's ledger knows neither copy nor branch.
-    ctx.system.actors[twin].state.pending_offer = replace(held, candidate=new_root)
+    twin = _spawn_copy(ctx, state, branch, head_link=None, exclude=exclude,
+                       pending_offer=replace(held, candidate=new_root))
     ctx.bump()
 
     for _label, fill in _visible_fills(state, reg, branch):

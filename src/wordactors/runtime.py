@@ -122,6 +122,15 @@ class Actor:
 
 
 def _render_value(value: Any):
+    # Exact types first: params are mostly plain dicts, lists and scalars.
+    # Everything else, subclasses included, takes the general chain below.
+    kind = type(value)
+    if kind is str or kind is int or kind is bool or value is None:
+        return value
+    if kind is dict:
+        return {str(k): _render_value(v) for k, v in value.items()}
+    if kind is list:
+        return [_render_value(v) for v in value]
     if isinstance(value, FeatureStructure):
         return render_fs(value)
     if isinstance(value, (frozenset, set)):
@@ -299,7 +308,7 @@ class System:
                 f"behavior {behavior.name!r} has no handler for key {envelope.key!r}")
 
         causes = [cause] if cause is not None else []
-        rendered = _render_value(dict(envelope.params))
+        rendered = _render_value(envelope.params)
         if envelope.initiator is not None:
             rendered["initiator"] = envelope.initiator
         event_id = self.net.record(target, envelope.key, rendered, causes, actor.state_version)

@@ -4,6 +4,8 @@ import io
 import json
 from pathlib import Path
 
+import pytest
+
 from helpers import DEMO_EDGES, DEMO_SENTENCE, fixture_path, fixture_text
 
 from wordactors import cli
@@ -27,6 +29,26 @@ def test_parse_empty_sentence_exits_2(capsys):
 def test_parse_unknown_word_exits_1(capsys):
     assert cli.main(["parse", "Compaq", "zzz"]) == 1
     assert "unknown word 'zzz'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["parse", "--seed", "x", "mit"],
+                                  ["parse", "--bogus", "mit"],
+                                  ["etn", "--bogus"]])
+def test_usage_errors_exit_1_not_2(argv, capsys):
+    # 2 is reserved for "no complete reading"
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: wordactors")
+    assert "error:" in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["parse", "--help"])
+    assert exit_.value.code == 0
+    assert "--seed" in capsys.readouterr().out
 
 
 def test_parse_lenient_flag(capsys):

@@ -1,5 +1,11 @@
 """Unification algebra: golden cases plus randomized laws."""
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +19,7 @@ from wordactors.features import (
     subsumes,
     unify,
 )
+from wordactors.lexicon import _override_merge
 
 
 def fs(text):
@@ -154,3 +161,103 @@ def test_unify_monotone(a, b):
 @given(structures(depth=3))
 def test_text_round_trip(f):
     assert parse_fs(render_fs(f)) == f
+
+
+# -- fast paths against the public constructor ------------------------------
+
+def plain(f):
+    return {attr: plain(v) if isinstance(v, FeatureStructure) else set(v)
+            for attr, v in f.items()}
+
+
+def reference_unify(a, b):
+    """The same merge over plain dicts and sets, rebuilt by the constructor."""
+    def merge(x, y):
+        out = dict(x)
+        for attr, yv in y.items():
+            if attr not in out:
+                out[attr] = yv
+            elif isinstance(out[attr], set) and isinstance(yv, set):
+                if not out[attr] & yv:
+                    return None
+                out[attr] = out[attr] & yv
+            elif isinstance(out[attr], dict) and isinstance(yv, dict):
+                out[attr] = merge(out[attr], yv)
+                if out[attr] is None:
+                    return None
+            else:
+                return None
+        return out
+
+    merged = merge(plain(a), plain(b))
+    return None if merged is None else FeatureStructure(merged)
+
+
+def reference_override(base, over):
+    def layer(x, y):
+        out = dict(x)
+        for attr, yv in y.items():
+            if isinstance(out.get(attr), dict) and isinstance(yv, dict):
+                out[attr] = layer(out[attr], yv)
+            else:
+                out[attr] = yv
+        return out
+
+    return FeatureStructure(layer(plain(base), plain(over)))
+
+
+def assert_canonical(f):
+    attrs = list(f.attributes())
+    assert attrs == sorted(attrs)
+    for _attr, value in f.items():
+        if isinstance(value, FeatureStructure):
+            assert_canonical(value)
+        else:
+            assert type(value) is frozenset and value
+
+
+@given(structures(), structures())
+def test_unify_matches_the_constructor_built_reference(a, b):
+    got, want = unify(a, b), reference_unify(a, b)
+    assert got == want
+    if got is not None:
+        assert_canonical(got)
+        assert hash(got) == hash(want)
+        assert render_fs(got) == render_fs(want)
+
+
+@given(structures(), structures())
+def test_override_merge_matches_the_constructor_built_reference(base, over):
+    got, want = _override_merge(base, over), reference_override(base, over)
+    assert got == want
+    assert_canonical(got)
+    assert hash(got) == hash(want)
+    assert render_fs(got) == render_fs(want)
+
+
+@given(structures())
+def test_rendered_text_is_stable(f):
+    first = render_fs(f)
+    assert render_fs(f) == first
+    assert render_fs(FeatureStructure(plain(f))) == first
+
+
+@given(structures(depth=3), st.booleans())
+def test_pickle_and_copies_keep_equality_and_text(f, rendered_before):
+    if rendered_before:
+        render_fs(f)  # copy with the cached text filled in
+    for twin in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+        assert twin == f and hash(twin) == hash(f)
+        assert render_fs(twin) == render_fs(f)
+
+
+def test_unpickled_hash_is_valid_across_processes():
+    # string hashes differ between processes; a pickle must not carry one
+    script = ("import pickle, sys; from wordactors.features import parse_fs; "
+              "sys.stdout.buffer.write(pickle.dumps(parse_fs('{a: {b: x|y}, c: z}')))")
+    env = dict(os.environ, PYTHONHASHSEED="12345",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    blob = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, check=True).stdout
+    f = pickle.loads(blob)
+    assert f in {parse_fs("{c: z, a: {b: y|x}}")}

@@ -6,6 +6,7 @@ import pytest
 
 from wordactors import events as ev
 from wordactors import runtime as rt
+from wordactors.features import parse_fs
 
 
 @dataclass
@@ -241,6 +242,32 @@ def test_initiator_is_rendered_into_params():
     net = system.run_to_quiescence()
     pong = next(e for e in net.events if e.key == "pong")
     assert pong.params["initiator"] == a
+
+
+class Tag(str):
+    pass
+
+
+class Opaque:
+    def __str__(self):
+        return "<opaque>"
+
+
+def test_render_value_outside_the_plain_types():
+    fs = parse_fs("{agr: {num: sg}, case: nom|acc}")
+    tag = Tag("x")
+    assert rt._render_value((3, "a", None)) == [3, "a", None]
+    assert rt._render_value({"b", "a"}) == ["a", "b"]
+    assert rt._render_value(frozenset({2, 1})) == [1, 2]
+    assert rt._render_value(True) is True
+    assert rt._render_value(None) is None
+    text = "{agr: {num: sg}, case: acc|nom}"
+    assert rt._render_value(fs) == text
+    assert rt._render_value({"p": [fs, (fs,)]}) == {"p": [text, [text]]}
+    assert rt._render_value({1: "one", None: [False]}) == {"1": "one", "None": [False]}
+    assert rt._render_value(tag) is tag
+    assert rt._render_value(Opaque()) == "<opaque>"
+    assert rt._render_value([Opaque(), {Tag("k"): 2.5}]) == ["<opaque>", {"k": "2.5"}]
 
 
 def test_state_version_is_recorded_before_processing():
