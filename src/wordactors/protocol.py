@@ -18,6 +18,7 @@ only route messages and keep actor-local state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Optional
 
 from . import events as ev
@@ -762,7 +763,13 @@ def on_scan_next(ctx, env):
 # handlers above; the type network is derived from them, and the runtime
 # holds every computation to the keys its tree admits.
 
+@cache
 def word_behavior() -> rt.BehaviorDef:
+    """The behavior every word actor runs.
+
+    Built once per process and shared by every system, like the contract
+    table derived from it: treat its tables as read-only and make a variant
+    with ``dataclasses.replace``."""
     return rt.BehaviorDef(
         name="word",
         handlers={
@@ -828,7 +835,9 @@ def word_behavior() -> rt.BehaviorDef:
         pre_distribution={SEARCH_HEAD: pre_search_head})
 
 
+@cache
 def scanner_behavior() -> rt.BehaviorDef:
+    """The scanner's behavior; shared and read-only like word_behavior()."""
     return rt.BehaviorDef(
         name="scanner",
         handlers={SCAN_NEXT: on_scan_next},
@@ -863,8 +872,16 @@ def build_system(lexicon, kb, tokens, *, seed=0, mode="sequential",
                             lambda sub, sup: lx.subclass_of(lexicon, sub, sup))
     system.register_service("role_permits",
                             lambda h, r, f: cn.role_permits(kb, h, r, f))
-    system.register_service("resolve_entry",
-                            lambda surface: lx.resolve_entry(lexicon, surface))
+    # The lexicon may change between parses, so the resolved entries are
+    # kept for this system only.
+    resolved = {}
+
+    def resolve(surface):
+        if surface not in resolved:
+            resolved[surface] = lx.resolve_entry(lexicon, surface)
+        return resolved[surface]
+
+    system.register_service("resolve_entry", resolve)
 
     system.shared["readings"] = ReadingRegistry()
     system.shared["stats"] = {
@@ -915,19 +932,26 @@ def read_out_trees(system) -> list:
     reg = system.shared["readings"]
     words = _word_actors(system)
     positions = sorted(system.shared["stats"]["spawned_positions"])
+    actor_pos = {a.actor_id: a.state.position for a in words}
+    by_tag = {}
+    for a in words:
+        by_tag.setdefault(a.state.reading, []).append(a)
     out = []
     for tag in sorted(reg.parent):
-        tree = _materialize(system, reg, words, positions, tag)
+        # actor-id order, as in system.actors: the tie rule depends on it
+        visible = sorted((a for t in reg.ancestors_or_self(tag) for a in by_tag.get(t, ())),
+                         key=lambda a: a.actor_id)
+        tree = _materialize(system, reg, visible, actor_pos, positions, tag)
         if tree is not None:
             out.append(tree)
     return out
 
 
-def _materialize(system, reg, words, positions, tag):
+def _materialize(system, reg, visible, actor_pos, positions, tag):
+    """The tree of one reading tag from the word actors visible in it, or
+    None."""
     chosen = {}
-    for a in words:
-        if a.state.reading not in reg.ancestors_or_self(tag):
-            continue
+    for a in visible:
         p = a.state.position
         cur = chosen.get(p)
         if cur is None or reg.depth(a.state.reading) > reg.depth(cur.state.reading):
@@ -937,7 +961,6 @@ def _materialize(system, reg, words, positions, tag):
     if sorted(chosen) != positions:
         return None
 
-    actor_pos = {a.actor_id: a.state.position for a in words}
     roots, edges, taken = [], set(), set()
     for p, a in sorted(chosen.items()):
         link = _effective_link(system, reg, a, tag)
@@ -956,23 +979,21 @@ def _materialize(system, reg, words, positions, tag):
         return None
     root = roots[0]
 
-    filled_at = {}
-    for e in edges:
-        filled_at.setdefault(e.head_pos, set()).add(e.label)
     for p, a in chosen.items():
-        need = {s.spec.name for s in a.state.slots
-                if s.spec.necessity == lx.MANDATORY}
-        if not need <= filled_at.get(p, set()):
-            return None
+        for s in a.state.slots:
+            if s.spec.necessity == lx.MANDATORY and (p, s.spec.name) not in taken:
+                return None
 
     head_of = {e.mod_pos: e.head_pos for e in edges}
+    reaches_root = {root}
     for p in chosen:
-        walk, seen = p, set()
-        while walk != root:
-            if walk in seen or walk not in head_of:
+        walk, path = p, set()
+        while walk not in reaches_root:
+            if walk in path or walk not in head_of:
                 return None
-            seen.add(walk)
+            path.add(walk)
             walk = head_of[walk]
+        reaches_root |= path
 
     tree = tr.ParseTree(root, chosen[root].state.surface, frozenset(edges))
     if not tr.is_projective(tree, set(chosen)):
@@ -989,6 +1010,9 @@ def _assert_on_fringe(ctx, profile):
     reg = _registry(ctx)
     context = profile["reading"]
     border = profile["left_edge"] - 1
+    own = ctx.state
+    if own.right_edge == border and reg.visible(own.reading, context):
+        return      # the bordering word itself, where its head chain starts
     for a in _word_actors(ctx.system):
         st = a.state
         if st.right_edge != border or st.reading not in reg.ancestors_or_self(context):

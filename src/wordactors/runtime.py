@@ -82,9 +82,11 @@ class BehaviorDef:
 
     The table of admitted keys is derived from the declarations once, at
     construction, by the same ``events.derive_script`` walk the event type
-    network uses.  To change a behavior's declarations, make a new one with
-    ``dataclasses.replace``: editing ``action_trees`` or
-    ``distribution_sends`` in place leaves the table stale.
+    network uses.  One behavior may serve many systems, as the protocol's
+    do, so its tables are read-only once built.  To change a behavior, make
+    a new one with ``dataclasses.replace``: editing ``action_trees`` or
+    ``distribution_sends`` in place leaves the table stale, and editing
+    any table in place changes every system that shares it.
     """
     name: str
     handlers: dict = field(default_factory=dict)

@@ -6,6 +6,7 @@ brute-force oracle can share it without depending on the parsing machinery.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 
@@ -48,16 +49,23 @@ def is_projective(tree: ParseTree, positions) -> bool:
 
     def span(node: int) -> tuple:
         if node not in span_cache:
+            lo = hi = node
             covered = {node}
             for child in children[node]:
-                lo, hi, nodes = span(child)
+                child_lo, child_hi, nodes = span(child)
+                if child_lo < lo:
+                    lo = child_lo
+                if child_hi > hi:
+                    hi = child_hi
                 covered |= nodes
-            span_cache[node] = (min(covered), max(covered), covered)
+            span_cache[node] = (lo, hi, covered)
         return span_cache[node]
 
+    # Every covered node is a key of ``children``, so ``covered`` is a subset
+    # of the positions within [lo, hi]: equal exactly when equally many.
+    ordered = sorted(set(positions))
     for node in positions:
         lo, hi, covered = span(node)
-        expected = {p for p in positions if lo <= p <= hi}
-        if covered != expected:
+        if len(covered) != bisect_right(ordered, hi) - bisect_left(ordered, lo):
             return False
     return True

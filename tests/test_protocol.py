@@ -5,14 +5,18 @@ import dataclasses
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import DEMO_EDGES, DEMO_SENTENCE, corpus_cases
 
 from wordactors import events as ev
+from wordactors import lexicon as lx
 from wordactors import protocol as pt
 from wordactors import runtime as rt
 from wordactors.features import parse_fs
 from wordactors.oracle import oracle_parse
+from wordactors.trees import Edge, ParseTree, is_projective
 
 
 ETN = ev.derive_etn(pt.protocol_behaviors())
@@ -174,8 +178,6 @@ def test_fringe_discipline_is_checked_on_every_search(demo_lexicon, demo_kb):
 
 
 def test_projectivity_of_every_output(demo_lexicon, demo_kb, permissive_kb):
-    from wordactors.trees import is_projective
-
     for kb in (demo_kb, permissive_kb):
         for _want, tokens in corpus_cases():
             system, _, trees = pt.run_parse(demo_lexicon, kb, list(tokens), seed=1)
@@ -220,3 +222,248 @@ def test_contract_table_follows_the_instance(demo_lexicon, demo_kb):
     system.kick(scanner, pt.SCAN_NEXT)
     with pytest.raises(rt.ContractViolation, match="undeclared key"):
         system.run_to_quiescence()
+
+
+# -- shared behaviors ---------------------------------------------------------
+
+def test_systems_share_the_protocol_behaviors(demo_lexicon, demo_kb):
+    first, _ = pt.build_system(demo_lexicon, demo_kb, ["Atari"])
+    second, _ = pt.build_system(demo_lexicon, demo_kb, ["Atari"], seed=1)
+    for name in ("word", "scanner"):
+        assert first.behaviors[name] is second.behaviors[name]
+    listed = pt.protocol_behaviors()
+    again = pt.protocol_behaviors()
+    assert listed is not again
+    assert listed == again == [first.behaviors["word"], first.behaviors["scanner"]]
+    assert all(a is b for a, b in zip(listed, again))
+
+
+def test_a_parse_leaves_the_shared_behaviors_as_built(demo_lexicon, permissive_kb):
+    # the ambiguous sample splits, so the copy handlers run too
+    _, net, _ = pt.run_parse(demo_lexicon, permissive_kb, DEMO_SENTENCE, seed=3)
+    assert pt.DUPLICATE_STRUCTURE in {e.key for e in net.events}
+    for shared, build in ((pt.word_behavior(), pt.word_behavior.__wrapped__),
+                          (pt.scanner_behavior(), pt.scanner_behavior.__wrapped__)):
+        fresh = build()
+        assert fresh is not shared and fresh.handlers is not shared.handlers
+        assert shared == fresh      # handler tables and declarations
+        assert shared._allowed == fresh._allowed
+
+
+def test_each_surface_is_resolved_once_per_parse(demo_lexicon, demo_kb):
+    tokens = "Compaq liefert einen Rechner".split() + 2 * "mit einer Harddisk".split()
+    system, _, _ = pt.run_parse(demo_lexicon, demo_kb, tokens, log_requests=True)
+    # the request log still shows every lookup, answered or not from the cache
+    logged = [args for calls in system.request_log.values()
+              for service, args, _ in calls if service == "resolve_entry"]
+    assert logged == [[t] for t in tokens]
+
+
+def test_resolved_entries_do_not_outlive_the_parse(demo_lexicon, demo_kb):
+    lexicon = dataclasses.replace(demo_lexicon, lexemes=dict(demo_lexicon.lexemes))
+    tokens = "Compaq liefert einen Kasten".split()
+    with pytest.raises(pt.ParseAbort, match="unknown word 'Kasten'"):
+        pt.run_parse(lexicon, demo_kb, tokens)
+    lexicon.lexemes["Kasten"] = lexicon.lexemes["Rechner"]
+    assert len(pt.run_parse(lexicon, demo_kb, tokens)[2]) == 1
+
+
+# -- the rewritten scans against their full-scan originals --------------------
+
+def _full_scan_fringe_check(ctx, profile):
+    """The fringe check as first written: walk the head chain of every word
+    actor that borders the candidate."""
+    reg = ctx.shared["readings"]
+    context = profile["reading"]
+    border = profile["left_edge"] - 1
+    for a in ctx.system.actors.values():
+        if a.behavior.name != "word":
+            continue
+        st = a.state
+        if st.right_edge != border or st.reading not in reg.ancestors_or_self(context):
+            continue
+        node, hops = a, set()
+        while node is not None and node.actor_id not in hops:
+            if node.actor_id == ctx.actor_id:
+                return
+            hops.add(node.actor_id)
+            link = pt._governing_link(node.state, reg, context)
+            node = ctx.system.actors.get(link.head) if link is not None else None
+    raise pt.ProtocolError(
+        f"{ctx.state.surface}: searchHead reached a word outside the search fringe")
+
+
+def _full_scan_materialize(system, reg, words, positions, tag):
+    """The readout of one tag as first written: a pass over every word
+    actor, and a walk to the root from every position."""
+    chosen = {}
+    for a in words:
+        if a.state.reading not in reg.ancestors_or_self(tag):
+            continue
+        p = a.state.position
+        cur = chosen.get(p)
+        if cur is None or reg.depth(a.state.reading) > reg.depth(cur.state.reading):
+            chosen[p] = a
+        elif cur is not a and reg.depth(a.state.reading) == reg.depth(cur.state.reading):
+            return None
+    if sorted(chosen) != positions:
+        return None
+
+    actor_pos = {a.actor_id: a.state.position for a in words}
+    roots, edges, taken = [], set(), set()
+    for p, a in sorted(chosen.items()):
+        link = pt._effective_link(system, reg, a, tag)
+        if link is None:
+            roots.append(p)
+            continue
+        hp = actor_pos.get(link.head)
+        if hp is None or hp not in chosen:
+            return None
+        if (hp, link.label) in taken:
+            return None
+        taken.add((hp, link.label))
+        edges.add(Edge(hp, chosen[hp].state.surface, link.label, p, a.state.surface))
+    if len(roots) != 1:
+        return None
+    root = roots[0]
+
+    filled_at = {}
+    for e in edges:
+        filled_at.setdefault(e.head_pos, set()).add(e.label)
+    for p, a in chosen.items():
+        need = {s.spec.name for s in a.state.slots if s.spec.necessity == lx.MANDATORY}
+        if not need <= filled_at.get(p, set()):
+            return None
+
+    head_of = {e.mod_pos: e.head_pos for e in edges}
+    for p in chosen:
+        walk, seen = p, set()
+        while walk != root:
+            if walk in seen or walk not in head_of:
+                return None
+            seen.add(walk)
+            walk = head_of[walk]
+
+    tree = ParseTree(root, chosen[root].state.surface, frozenset(edges))
+    if not is_projective(tree, set(chosen)):
+        return None
+    return tree
+
+
+class ScanRecorder:
+    """Runs each rewritten scan next to its full-scan original and keeps
+    both answers; the parse goes on with the rewritten scan's answer."""
+
+    def __init__(self, monkeypatch):
+        self.fringe = []    # (rewritten, original, receiver borders) per searchHead
+        self.readout = []   # (tag, rewritten, original) per reading tag
+        fringe, materialize = pt._assert_on_fringe, pt._materialize
+
+        def checked_fringe(ctx, profile):
+            got = _verdict(fringe, ctx, profile)
+            want = _verdict(_full_scan_fringe_check, ctx, profile)
+            self.fringe.append((got, want,
+                                ctx.state.right_edge == profile["left_edge"] - 1))
+            if got is not None:
+                raise pt.ProtocolError(got)
+
+        def checked_materialize(system, reg, visible, actor_pos, positions, tag):
+            got = materialize(system, reg, visible, actor_pos, positions, tag)
+            want = _full_scan_materialize(system, reg, pt._word_actors(system),
+                                          positions, tag)
+            self.readout.append((tag, got, want))
+            return got
+
+        monkeypatch.setattr(pt, "_assert_on_fringe", checked_fringe)
+        monkeypatch.setattr(pt, "_materialize", checked_materialize)
+
+    def parse(self, lexicon, kb, tokens, **kw):
+        start = len(self.readout)
+        system, _net, trees = pt.run_parse(lexicon, kb, list(tokens), **kw)
+        visited = [tag for tag, _, _ in self.readout[start:]]
+        assert visited == sorted(system.shared["readings"].parent)
+        return trees
+
+    def mismatches(self):
+        return ([(got, want) for got, want, _ in self.fringe if got != want]
+                + [(tag, got, want) for tag, got, want in self.readout if got != want])
+
+
+def _verdict(check, ctx, profile):
+    try:
+        check(ctx, profile)
+    except pt.ProtocolError as err:
+        return str(err)
+    return None
+
+
+CHAIN_BASES = ("Compaq liefert einen Rechner", "Compaq entwickelt einen Notebook")
+
+
+def test_rewritten_scans_agree_with_the_full_scans(monkeypatch, demo_lexicon, demo_kb,
+                                                   permissive_kb):
+    scans = ScanRecorder(monkeypatch)
+    runs = [(kb, tokens) for kb in (demo_kb, permissive_kb) for _, tokens in corpus_cases()]
+    runs += [(demo_kb, base.split() + k * "mit einer Harddisk".split())
+             for base in CHAIN_BASES for k in range(5)]
+    for kb, tokens in runs:
+        for mode in ("sequential", "parallel"):
+            for seed in range(10):
+                scans.parse(demo_lexicon, kb, tokens, seed=seed, mode=mode)
+                assert scans.mismatches() == [], (tokens, mode, seed)
+    # both halves of the fringe check ran, and readings were kept and dropped
+    assert {borders for _, _, borders in scans.fringe} == {True, False}
+    assert {got is None for _, got, _ in scans.readout} == {True, False}
+
+
+def test_rewritten_fringe_check_raises_where_the_full_scan_does(monkeypatch, demo_lexicon,
+                                                                demo_kb):
+    scans = ScanRecorder(monkeypatch)
+    tokens = "Compaq liefert einen Rechner mit einer Harddisk".split()
+    with pytest.raises(rt.HandlerFailure, match="outside the search fringe"):
+        scans.parse(demo_lexicon, demo_kb, tokens, seed=183)
+    assert scans.mismatches() == []
+    assert scans.fringe[-1][1] is not None
+
+
+@st.composite
+def quiescent_states(draw):
+    """A system holding hand-made word actors: random positions, reading
+    tags, head links (some to missing actors, some cyclic), copy origins and
+    mandatory valencies, so that ties, gaps, cycles and several roots occur."""
+    system, _scanner = pt.build_system(None, None, [])
+    reg = system.shared["readings"]
+    for _ in range(draw(st.integers(0, 4))):
+        reg.new_child(draw(st.sampled_from(sorted(reg.parent))))
+    tags = sorted(reg.parent)
+    n = draw(st.integers(1, 4))
+    system.shared["stats"]["spawned_positions"] = set(range(1, n + 1))
+    first = system._next_actor_id
+    count = draw(st.integers(1, 8))
+    ids = list(range(first, first + count + 1))     # one id stays unused
+    mandatory = lx.ValencyDef("a", "word", necessity=lx.MANDATORY)
+    optional = lx.ValencyDef("b", "word")
+    for i in range(count):
+        links = [pt.HeadLink(draw(st.sampled_from(tags)), draw(st.sampled_from(ids)),
+                             draw(st.sampled_from("ab")))
+                 for _ in range(draw(st.integers(0, 2)))]
+        state = pt.WordState(
+            surface=f"w{i}", position=draw(st.integers(1, n)),
+            reading=draw(st.sampled_from(tags)),
+            slots=[pt.Slot(spec) for spec in draw(st.sampled_from(
+                [[], [mandatory], [optional], [mandatory, optional]]))],
+            head_links=links,
+            origin_of=draw(st.sampled_from([None] + ids[:i])))
+        system.spawn("word", state.surface, state)
+    return system
+
+
+@settings(max_examples=300)
+@given(quiescent_states())
+def test_readout_agrees_with_the_full_scan_on_random_states(system):
+    reg = system.shared["readings"]
+    positions = sorted(system.shared["stats"]["spawned_positions"])
+    words = pt._word_actors(system)
+    want = [_full_scan_materialize(system, reg, words, positions, tag)
+            for tag in sorted(reg.parent)]
+    assert pt.read_out_trees(system) == [t for t in want if t is not None]

@@ -13,14 +13,15 @@ from collections import Counter
 
 import pytest
 
-from helpers import DEMO_SENTENCE
+from helpers import DEMO_SENTENCE, corpus_cases
 
 from wordactors import events as ev
 from wordactors import protocol as pt
 from wordactors.oracle import oracle_parse
 
-PP3 = "Compaq liefert einen Rechner".split() + 3 * "mit einer Harddisk".split()
-DEEP3 = "Compaq entwickelt einen Notebook".split() + 3 * "mit einer Harddisk".split()
+PP = "mit einer Harddisk".split()
+PP3 = "Compaq liefert einen Rechner".split() + 3 * PP
+DEEP3 = "Compaq entwickelt einen Notebook".split() + 3 * PP
 
 # (tokens, kb fixture, mode, seed, readings beyond the oracle's reach or
 # None) -> sha256 of the JSONL and of the DOT export
@@ -68,3 +69,46 @@ def test_export_bytes_are_pinned(request, demo_lexicon, tokens, kb, mode, seed,
         assert (len(system.shared["readings"].parent) > 1) == (readings > 1)
     assert _sha(ev.export(net, "jsonl")) == jsonl_sha
     assert _sha(ev.export(net, "dot")) == dot_sha
+
+
+def _readings(trees):
+    return Counter(t.canonical() for t in trees)
+
+
+def _deep_chain_reading(k):
+    """The one reading of "Compaq entwickelt einen Notebook" + k PPs: each
+    preposition hangs below the noun just left of it."""
+    edges = [(2, "dirobj", 4), (2, "subj", 1), (4, "spec", 3)]
+    for p in range(5, 5 + 3 * k, 3):
+        edges += [(p - 1, "ppatt", p), (p, "obj", p + 2), (p + 2, "spec", p + 1)]
+    return (2, tuple(sorted(edges)))
+
+
+# sha256 over the JSONL and DOT exports of every run of the sweep below, in
+# order; each of these runs returns the reference readings
+SWEEP_SHA = "a6815132ea8b0892f377d4a3f7eb0ee451ac344a613a94f8ae3f4387fe38357f"
+
+
+def test_sweep_exports_are_pinned(demo_lexicon, demo_kb, permissive_kb):
+    runs = [(list(tokens), kb, _readings(oracle_parse(demo_lexicon, kb, list(tokens))))
+            for kb in (demo_kb, permissive_kb) for _want, tokens in corpus_cases()]
+    for k in range(7):
+        tokens = "Compaq entwickelt einen Notebook".split() + k * PP
+        want = Counter([_deep_chain_reading(k)])
+        if k <= 2:      # oracle_parse stops at 10 tokens
+            assert want == _readings(oracle_parse(demo_lexicon, demo_kb, tokens))
+        runs.append((tokens, demo_kb, want))
+    for k in range(2):
+        tokens = "Compaq liefert einen Rechner".split() + k * PP
+        runs.append((tokens, demo_kb, _readings(oracle_parse(demo_lexicon, demo_kb, tokens))))
+
+    digest = hashlib.sha256()
+    for tokens, kb, want in runs:
+        for mode in ("sequential", "parallel"):
+            for seed in range(20):
+                _system, net, trees = pt.run_parse(demo_lexicon, kb, tokens,
+                                                   seed=seed, mode=mode)
+                assert _readings(trees) == want, (tokens, mode, seed)
+                digest.update(ev.export(net, "jsonl").encode())
+                digest.update(ev.export(net, "dot").encode())
+    assert digest.hexdigest() == SWEEP_SHA
