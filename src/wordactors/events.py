@@ -51,7 +51,10 @@ class EventNetwork:
         return event_id
 
     def name_of(self, actor_id: int) -> str:
-        return self.actor_names.get(actor_id, f"actor{actor_id}")
+        try:
+            return self.actor_names[actor_id]
+        except KeyError:
+            return f"actor{actor_id}"
 
     def subnetwork(self, ids: Iterable[int]) -> "EventNetwork":
         """Restriction to a subset of events; causes outside the subset drop."""
@@ -219,8 +222,46 @@ def validate_trace(net: EventNetwork, etn: EventTypeNetwork) -> list:
 # --------------------------------------------------------------------------
 # Export and comparison.
 
-def _event_label(net: EventNetwork, e: Event) -> str:
-    return f"[{net.name_of(e.target)}] <= {e.key}"
+# json.dumps(..., sort_keys=True) with every other setting at its default;
+# one shared instance spares building an encoder per line.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def _json_int(value) -> str:
+    """``value`` as json.dumps writes it; plain ints skip the encoder."""
+    return str(value) if type(value) is int else _ENCODER.encode(value)
+
+
+def _events_jsonl(net: EventNetwork) -> str:
+    # Each line equals json.dumps of the six-field record with sorted keys;
+    # the skeleton is written here in that key order.
+    encode = _ENCODER.encode
+    lines = [
+        f'{{"causes": [{", ".join(map(_json_int, sorted(e.causes)))}], '
+        f'"id": {_json_int(e.event_id)}, "key": {encode(e.key)}, '
+        f'"params": {encode(e.params)}, '
+        f'"stateVersion": {_json_int(e.state_version)}, '
+        f'"target": {_json_int(e.target)}}}\n'
+        for e in net.events
+    ]
+    return "".join(lines)
+
+
+def _events_dot(net: EventNetwork) -> str:
+    names = net.actor_names
+    lines = ["digraph events {", "  rankdir=LR;"]
+    edges = []
+    for e in net.events:
+        event_id, target = e.event_id, e.target
+        name = names[target] if target in names else f"actor{target}"
+        lines.append(f'  e{event_id} [label="[{name}] <= {e.key}"];')
+        for c in e.causes:
+            edges.append((c, event_id))
+    edges.sort()
+    for src, dst in edges:
+        lines.append(f"  e{src} -> e{dst};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def export(obj, format: str = "jsonl") -> str:
@@ -236,26 +277,7 @@ def export(obj, format: str = "jsonl") -> str:
         raise ValueError(f"unknown format {format!r}")
 
     if isinstance(obj, EventNetwork):
-        if format == "jsonl":
-            lines = []
-            for e in obj.events:
-                lines.append(json.dumps({
-                    "id": e.event_id,
-                    "target": e.target,
-                    "key": e.key,
-                    "params": e.params,
-                    "causes": sorted(e.causes),
-                    "stateVersion": e.state_version,
-                }, sort_keys=True))
-            return "\n".join(lines) + ("\n" if lines else "")
-        lines = ["digraph events {", "  rankdir=LR;"]
-        for e in obj.events:
-            lines.append(f'  e{e.event_id} [label="{_event_label(obj, e)}"];')
-        edges = sorted((c, e.event_id) for e in obj.events for c in e.causes)
-        for src, dst in edges:
-            lines.append(f"  e{src} -> e{dst};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return _events_jsonl(obj) if format == "jsonl" else _events_dot(obj)
 
     if isinstance(obj, EventTypeNetwork):
         if format == "jsonl":

@@ -3,8 +3,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import DEMO_SENTENCE, fixture_text
+from helpers import DEMO_SENTENCE, corpus_cases, fixture_text
 
 from wordactors import events as ev
 from wordactors import protocol as pt
@@ -217,6 +219,119 @@ def test_export_rejects_unknown_format():
         ev.export(ev.EventNetwork(), "yaml")
     with pytest.raises(TypeError):
         ev.export(object(), "dot")
+
+
+# The event-network exporters as first written: one json.dumps per record,
+# labels through name_of.  The exporters must stay byte-identical to these.
+
+def _reference_jsonl(net):
+    lines = []
+    for e in net.events:
+        lines.append(json.dumps({
+            "id": e.event_id,
+            "target": e.target,
+            "key": e.key,
+            "params": e.params,
+            "causes": sorted(e.causes),
+            "stateVersion": e.state_version,
+        }, sort_keys=True))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _reference_dot(net):
+    lines = ["digraph events {", "  rankdir=LR;"]
+    for e in net.events:
+        lines.append(f'  e{e.event_id} [label="[{net.name_of(e.target)}] <= {e.key}"];')
+    edges = sorted((c, e.event_id) for e in net.events for c in e.causes)
+    for src, dst in edges:
+        lines.append(f"  e{src} -> e{dst};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _rendered(export, net):
+    """The export's text, or the error it raised (unsortable causes or ids)."""
+    try:
+        return export(net)
+    except TypeError as err:
+        return type(err), str(err)
+
+
+def _assert_exports_match_reference(net):
+    assert _rendered(lambda n: ev.export(n, "jsonl"), net) == _rendered(_reference_jsonl, net)
+    assert _rendered(lambda n: ev.export(n, "dot"), net) == _rendered(_reference_dot, net)
+
+
+# ASCII letters next to what JSON must escape or write as \uXXXX: quote,
+# backslash, newline and other control characters, non-ASCII inside and
+# outside the basic plane.
+_texts = st.text('aZ "\\\n\t\x00\x1f\x7fé€\u2028😀', max_size=5)
+_params = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _texts,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_texts, inner, max_size=3),
+    max_leaves=5)
+# what a hand-appended Event may hold where the runtime writes an int
+_loose_ints = st.integers() | st.booleans() | st.none() | _texts
+
+
+@st.composite
+def _recorded_networks(draw):
+    net = ev.EventNetwork()
+    for _ in range(draw(st.integers(0, 8))):
+        n = len(net.events)
+        causes = draw(st.lists(st.integers(0, n - 1), max_size=3)) if n else []
+        net.record(draw(st.integers(0, 4)), draw(_texts),
+                   draw(st.dictionaries(_texts, _params, max_size=3)),
+                   causes, draw(st.integers(0, 9)))
+    return net
+
+
+@st.composite
+def _hand_made_networks(draw):
+    net = ev.EventNetwork()
+    for _ in range(draw(st.integers(0, 5))):
+        causes = draw(st.frozensets(st.integers() | st.booleans(), max_size=4)
+                      | st.frozensets(_texts, max_size=3))
+        net.events.append(ev.Event(draw(_loose_ints), draw(_loose_ints), draw(_texts),
+                                   draw(_params), causes, draw(_loose_ints)))
+    return net
+
+
+@st.composite
+def _networks(draw):
+    kind = draw(st.sampled_from(["recorded", "subnetwork", "hand-made"]))
+    if kind == "hand-made":
+        net = draw(_hand_made_networks())
+    else:
+        net = draw(_recorded_networks())
+        if kind == "subnetwork":
+            net = net.subnetwork(draw(st.sets(st.integers(0, max(len(net.events) - 1, 0)))))
+    targets = st.integers(0, 4) | _loose_ints
+    for actor_id, name in draw(st.dictionaries(targets, _texts, max_size=4)).items():
+        net.register_actor(actor_id, name)
+    return net
+
+
+@settings(max_examples=80)
+@given(_networks())
+def test_event_exports_equal_the_reference_exporters(net):
+    _assert_exports_match_reference(net)
+
+
+@pytest.mark.slow
+def test_run_exports_equal_the_reference_exporters_over_a_wide_sweep(
+        demo_lexicon, demo_kb, permissive_kb):
+    runs = [(list(tokens), kb, range(100)) for kb in (demo_kb, permissive_kb)
+            for _want, tokens in corpus_cases()]
+    for base in ("Compaq liefert einen Rechner", "Compaq entwickelt einen Notebook"):
+        runs += [(base.split() + k * "mit einer Harddisk".split(), demo_kb, range(20))
+                 for k in range(9)]
+    for tokens, kb, seeds in runs:
+        for mode in ("sequential", "parallel"):
+            for seed in seeds:
+                _system, net, _trees = pt.run_parse(demo_lexicon, kb, tokens, seed=seed,
+                                                    mode=mode, debug_checks=False)
+                _assert_exports_match_reference(net)
 
 
 # -- comparison ----------------------------------------------------------------
