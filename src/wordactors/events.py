@@ -171,11 +171,6 @@ class EventTypeNetwork:
     def key_pairs(self) -> set:
         return {(src, dst) for (src, dst, _, _) in self.edges}
 
-    def without_plumbing(self) -> "EventTypeNetwork":
-        kept = {e for e in self.edges if not e[3]}
-        nodes = {e[0] for e in kept} | {e[1] for e in kept}
-        return EventTypeNetwork(nodes, kept)
-
 
 def derive_etn(behaviors) -> EventTypeNetwork:
     """Union of all behaviors' scripts."""

@@ -13,22 +13,21 @@ actors without copying or locking.
 
 from __future__ import annotations
 
+import re
 from typing import Iterator, Mapping, Optional, Union
 
 Value = Union[frozenset, "FeatureStructure"]
-
-_NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.+-")
-
 
 class FeatureStructure:
     """An immutable attribute-to-value mapping.
 
     The public constructor accepts any mapping and normalizes it: attributes
     sorted, strings and collections turned into atom sets, nested mappings
-    into structures.  Unification builds its results from parts that are
-    already canonical and skips that work.  The canonical text is computed
-    lazily by ``render_fs`` and cached in the structure; it never takes
-    part in equality, hashing or pickling.
+    into structures.  Unification and ``parse_fs`` build their results from
+    parts that are already canonical and skip that work.  The canonical text
+    is computed lazily by ``render_fs`` and cached in the structure; it never
+    takes part in equality, hashing or pickling.  ``parse_fs`` reads that
+    text back, and lexicon files write feature blocks in the same grammar.
     """
 
     __slots__ = ("_pairs", "_hash", "_text")
@@ -150,76 +149,119 @@ class FSSyntaxError(ValueError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at offset {position})")
+        self.message = message
         self.position = position
 
 
-class _Parser:
+# Line breaks are the boundaries ``str.splitlines`` knows, so that the line
+# numbers a lexicon error reports count the same breaks the scan skips.
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+# One match per token: skipped whitespace and comments, then a NAME, a
+# STRING or punctuation (group 1), an unexpected character (group 2), or
+# the end of the text.
+_TOKEN = re.compile(
+    rf'(?:[ \t{_BREAKS}]+|#[^{_BREAKS}]*)*'
+    rf'(?:([A-Za-z0-9_.+\-]+|"[^"#{_BREAKS}]*"|[{{}}:,|])|(.)|\Z)', re.S)
+
+
+class TokenReader:
+    """Recursive-descent reader over the tokens of lexicon and
+    feature-structure text.
+
+    Tokens are names (``[A-Za-z0-9_.+-]+``), double-quoted strings and the
+    punctuation ``{ } : , |``; whitespace and ``#`` comments between them
+    are skipped.  Every error is an ``FSSyntaxError`` at the offset of the
+    offending token, or at the end of the text.
+    """
+
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+        self.tokens = []
+        self.offsets = []
+        for m in _TOKEN.finditer(text):
+            if m.lastindex is None:
+                break
+            if m.lastindex == 2:
+                raise FSSyntaxError(f"unexpected character {m.group(2)!r}", m.start(2))
+            self.tokens.append(m.group(1))
+            self.offsets.append(m.start(1))
+        # the end of the text reads as a last token, None
+        self.tokens.append(None)
+        self.offsets.append(len(text))
+        self.index = 0
+
+    def peek(self) -> Optional[str]:
+        """The next token, or ``None`` at the end of the text."""
+        return self.tokens[self.index]
+
+    def offset(self) -> int:
+        """Where the next token starts, or the length of the text."""
+        return self.offsets[self.index]
 
     def error(self, message: str) -> FSSyntaxError:
-        return FSSyntaxError(message, self.pos)
+        return FSSyntaxError(message, self.offset())
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
+    def found(self) -> str:
+        tok = self.peek()
+        return "end of input" if tok is None else repr(tok)
 
-    def expect(self, char: str) -> None:
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != char:
-            raise self.error(f"expected {char!r}")
-        self.pos += 1
+    def next(self) -> str:
+        tok = self.peek()
+        if tok is None:
+            raise self.error("unexpected end of input")
+        self.index += 1
+        return tok
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def expect(self, literal: str) -> None:
+        if self.peek() != literal:
+            raise self.error(f"expected {literal!r}, found {self.found()}")
+        self.index += 1
 
     def name(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _NAME_CHARS:
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected a name")
-        return self.text[start : self.pos]
+        tok = self.peek()
+        if tok is None or tok[0] in '"{}:,|':
+            raise self.error(f"expected a name, found {self.found()}")
+        self.index += 1
+        return tok
 
     def structure(self) -> FeatureStructure:
+        """``fs = "{" [pair {"," pair}] "}"``, ``pair = NAME ":" (ATOM {"|" ATOM} | fs)``."""
         self.expect("{")
         pairs = {}
         if self.peek() == "}":
-            self.pos += 1
-            return FeatureStructure(pairs)
+            self.index += 1
+            return EMPTY
         while True:
+            if self.peek() in pairs:
+                raise self.error(f"duplicate attribute {self.peek()!r}")
             attr = self.name()
-            if attr in pairs:
-                raise self.error(f"duplicate attribute {attr!r}")
             self.expect(":")
             if self.peek() == "{":
                 pairs[attr] = self.structure()
             else:
                 atoms = [self.name()]
                 while self.peek() == "|":
-                    self.pos += 1
+                    self.index += 1
                     atoms.append(self.name())
                 pairs[attr] = frozenset(atoms)
-            ch = self.peek()
-            if ch == ",":
-                self.pos += 1
-                continue
-            if ch == "}":
-                self.pos += 1
-                return FeatureStructure(pairs)
-            raise self.error("expected ',' or '}'")
+            tok = self.peek()
+            if tok != "," and tok != "}":
+                raise self.error(f"expected ',' or '}}', found {self.found()}")
+            self.index += 1
+            if tok == "}":
+                return FeatureStructure._from_sorted(dict(sorted(pairs.items())))
 
 
 def parse_fs(text: str) -> FeatureStructure:
-    """Parse the ``{attr: v1|v2, nested: {...}}`` text form."""
-    parser = _Parser(text)
-    fs = parser.structure()
-    parser.skip_ws()
-    if parser.pos != len(text):
-        raise parser.error("trailing input after structure")
+    """Parse the ``{attr: v1|v2, nested: {...}}`` text form.
+
+    The text shares its tokens with lexicon files, ``#`` comments included;
+    nothing but whitespace and comments may follow the closing brace.
+    """
+    reader = TokenReader(text)
+    fs = reader.structure()
+    if reader.peek() is not None:
+        raise reader.error("trailing input after structure")
     return fs
 
 

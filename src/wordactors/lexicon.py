@@ -7,7 +7,8 @@ inherited slot but keeps its original list position, so traces stay
 reproducible).  Lexemes are the leaves: a surface form, its word class,
 feature overrides, and an optional concept name.
 
-Text format (strict: unknown keys are rejected so typos surface early):
+Text format (strict: unknown keys and repeated clauses are rejected so
+typos surface early; only ``valency`` may appear more than once per block):
 
     wordclass NAME [: PARENT] {
       features { ... }
@@ -25,17 +26,19 @@ Text format (strict: unknown keys are rejected so typos surface early):
       concept: NAME | none
     }
 
-'#' starts a comment.  Feature blocks use the feature-structure grammar.
+The text is read by ``features.TokenReader``, the reader ``parse_fs`` uses:
+names, double-quoted strings (lexeme surfaces only) and ``{ } : , |``, with
+whitespace and ``#`` comments skipped.  Feature blocks are its ``structure``
+rule.  Every error names the line and column of the offending token.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .concepts import ConceptTaxonomy
-from .features import EMPTY, FeatureStructure, unify
+from .features import EMPTY, FeatureStructure, FSSyntaxError, TokenReader, unify
 
 LEFT = "left-of-head"
 RIGHT = "right-of-head"
@@ -90,114 +93,51 @@ class ResolvedEntry:
     concept: Optional[str]
 
 
-_TOKEN = re.compile(r'"[^"\n]*"|[A-Za-z0-9_.+\-]+|[{}:,|]')
+def _clauses(r: TokenReader, keys, where: str, repeatable=()):
+    """Read the ``{ ... }`` body of ``where``, yielding each clause key.
 
-
-def _tokenize(source: str):
-    tokens = []
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        pos = 0
-        while pos < len(line):
-            if line[pos] in " \t":
-                pos += 1
-                continue
-            m = _TOKEN.match(line, pos)
-            if not m:
-                raise LexiconError(f"line {lineno}, column {pos + 1}: unexpected character {line[pos]!r}")
-            tokens.append((m.group(0), lineno))
-            pos = m.end()
-    return tokens
-
-
-class _Tokens:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.index = 0
-
-    def peek(self):
-        return self.tokens[self.index][0] if self.index < len(self.tokens) else None
-
-    def line(self):
-        i = min(self.index, len(self.tokens) - 1)
-        return self.tokens[i][1] if self.tokens else 0
-
-    def next(self):
-        if self.index >= len(self.tokens):
-            raise LexiconError("unexpected end of input")
-        tok = self.tokens[self.index][0]
-        self.index += 1
-        return tok
-
-    def expect(self, literal):
-        tok = self.next()
-        if tok != literal:
-            raise LexiconError(f"line {self.line()}: expected {literal!r}, found {tok!r}")
-        return tok
-
-
-def _parse_feature_block(ts: _Tokens) -> FeatureStructure:
-    # same grammar as features.parse_fs, read off the shared token stream
-    ts.expect("{")
-    pairs = {}
-    if ts.peek() == "}":
-        ts.next()
-        return FeatureStructure(pairs)
-    while True:
-        attr = ts.next()
-        if attr in pairs:
-            raise LexiconError(f"line {ts.line()}: duplicate attribute {attr!r}")
-        ts.expect(":")
-        if ts.peek() == "{":
-            pairs[attr] = _parse_feature_block(ts)
-        else:
-            atoms = [ts.next()]
-            while ts.peek() == "|":
-                ts.next()
-                atoms.append(ts.next())
-            pairs[attr] = frozenset(atoms)
-        tok = ts.next()
-        if tok == ",":
-            continue
-        if tok == "}":
-            return FeatureStructure(pairs)
-        raise LexiconError(f"line {ts.line()}: expected ',' or '}}', found {tok!r}")
-
-
-def _parse_valency(ts: _Tokens, owner: str) -> ValencyDef:
-    name = ts.next()
-    ts.expect("{")
+    The caller reads the rest of the clause.  A key outside ``keys`` is an
+    error, and so is a second clause with a key not in ``repeatable``.
+    """
+    r.expect("{")
     seen = set()
+    while r.peek() != "}":
+        at = r.offset()
+        key = r.next()
+        if key not in keys:
+            raise FSSyntaxError(f"unknown key {key!r} in {where}", at)
+        if key in seen:
+            raise FSSyntaxError(f"repeated {key!r} clause in {where}", at)
+        if key not in repeatable:
+            seen.add(key)
+        yield key
+    r.expect("}")
+
+
+def _parse_valency(r: TokenReader, owner: str) -> ValencyDef:
+    at = r.offset()
+    name = r.name()
     fields = {"class": None, "dir": None, "necessity": None,
               "features": EMPTY, "role": None}
-    while ts.peek() != "}":
-        key = ts.next()
-        if key not in fields:
-            raise LexiconError(f"line {ts.line()}: unknown key {key!r} in valency {name!r} of {owner!r}")
-        if key in seen:
-            raise LexiconError(f"line {ts.line()}: duplicate key {key!r} in valency {name!r}")
-        seen.add(key)
+    for key in _clauses(r, fields, f"valency {name!r} of {owner!r}"):
         if key == "features":
-            fields[key] = _parse_feature_block(ts)
+            fields[key] = r.structure()
             continue
-        ts.expect(":")
-        value = ts.next()
+        r.expect(":")
+        value = r.peek()
+        if key == "dir" and value not in ("left", "right"):
+            raise r.error(f"dir must be left or right, found {r.found()}")
+        if key == "necessity" and value not in (MANDATORY, OPTIONAL):
+            raise r.error(f"bad necessity {r.found()}")
+        value = r.name()
         if key == "dir":
-            if value not in ("left", "right"):
-                raise LexiconError(f"line {ts.line()}: dir must be left or right, found {value!r}")
-            fields[key] = LEFT if value == "left" else RIGHT
-        elif key == "necessity":
-            if value not in (MANDATORY, OPTIONAL):
-                raise LexiconError(f"line {ts.line()}: bad necessity {value!r}")
-            fields[key] = value
-        elif key == "role":
-            fields[key] = None if value == "none" else value
-        else:
-            fields[key] = value
-    ts.expect("}")
+            value = LEFT if value == "left" else RIGHT
+        elif key == "role" and value == "none":
+            value = None
+        fields[key] = value
     for required in ("class", "dir", "necessity"):
         if fields[required] is None:
-            raise LexiconError(f"valency {name!r} of {owner!r}: missing key {required!r}")
+            raise FSSyntaxError(f"valency {name!r} of {owner!r}: missing key {required!r}", at)
     return ValencyDef(name, fields["class"], fields["features"],
                       fields["dir"], fields["necessity"], fields["role"])
 
@@ -205,60 +145,59 @@ def _parse_valency(ts: _Tokens, owner: str) -> ValencyDef:
 def load_lexicon(source: str) -> Lexicon:
     """Parse lexicon text.  Parsing only; cross-references are checked later."""
     lex = Lexicon()
-    ts = _Tokens(_tokenize(source))
-    while ts.peek() is not None:
-        form = ts.next()
-        if form == "wordclass":
-            name = ts.next()
-            parent = None
-            if ts.peek() == ":":
-                ts.next()
-                parent = ts.next()
-            if name in lex.word_classes:
-                raise LexiconError(f"line {ts.line()}: duplicate word class {name!r}")
-            wc = WordClassDef(name, parent)
-            ts.expect("{")
-            while ts.peek() != "}":
-                key = ts.next()
-                if key == "features":
-                    if not wc.default_features.is_empty():
-                        raise LexiconError(f"line {ts.line()}: repeated features block in {name!r}")
-                    wc.default_features = _parse_feature_block(ts)
-                elif key == "valency":
-                    v = _parse_valency(ts, name)
+    try:
+        r = TokenReader(source)
+        while r.peek() is not None:
+            form = r.peek()
+            if form not in ("wordclass", "lexeme"):
+                raise r.error(f"unknown top-level form {form!r}")
+            r.next()
+            if form == "wordclass":
+                if r.peek() in lex.word_classes:
+                    raise r.error(f"duplicate word class {r.peek()!r}")
+                name = r.name()
+                parent = None
+                if r.peek() == ":":
+                    r.next()
+                    parent = r.name()
+                wc = WordClassDef(name, parent)
+                for key in _clauses(r, ("features", "valency"), f"wordclass {name!r}",
+                                    repeatable=("valency",)):
+                    if key == "features":
+                        wc.default_features = r.structure()
+                        continue
+                    at = r.offset()
+                    v = _parse_valency(r, name)
                     if any(existing.name == v.name for existing in wc.valencies):
-                        raise LexiconError(f"line {ts.line()}: duplicate valency {v.name!r} in {name!r}")
+                        raise FSSyntaxError(f"duplicate valency {v.name!r} in {name!r}", at)
                     wc.valencies.append(v)
-                else:
-                    raise LexiconError(f"line {ts.line()}: unknown key {key!r} in wordclass {name!r}")
-            ts.expect("}")
-            lex.word_classes[name] = wc
-        elif form == "lexeme":
-            quoted = ts.next()
-            if not (quoted.startswith('"') and quoted.endswith('"') and len(quoted) >= 2):
-                raise LexiconError(f"line {ts.line()}: lexeme surface must be quoted, found {quoted!r}")
-            surface = quoted[1:-1]
-            ts.expect(":")
-            word_class = ts.next()
-            entry = LexemeEntry(surface, word_class)
-            ts.expect("{")
-            while ts.peek() != "}":
-                key = ts.next()
-                if key == "features":
-                    if not entry.feature_overrides.is_empty():
-                        raise LexiconError(f"line {ts.line()}: repeated features block for {surface!r}")
-                    entry.feature_overrides = _parse_feature_block(ts)
-                elif key == "concept":
-                    ts.expect(":")
-                    value = ts.next()
+                lex.word_classes[name] = wc
+            else:
+                quoted = r.peek()
+                if quoted is None or quoted[0] != '"':
+                    raise r.error(f"lexeme surface must be quoted, found {r.found()}")
+                surface = r.next()[1:-1]
+                r.expect(":")
+                entry = LexemeEntry(surface, r.name())
+                for key in _clauses(r, ("features", "concept"), f"lexeme {surface!r}"):
+                    if key == "features":
+                        entry.feature_overrides = r.structure()
+                        continue
+                    r.expect(":")
+                    value = r.name()
                     entry.concept = None if value == "none" else value
-                else:
-                    raise LexiconError(f"line {ts.line()}: unknown key {key!r} in lexeme {surface!r}")
-            ts.expect("}")
-            lex.lexemes.setdefault(surface, []).append(entry)
-        else:
-            raise LexiconError(f"line {ts.line()}: unknown top-level form {form!r}")
+                lex.lexemes.setdefault(surface, []).append(entry)
+    except FSSyntaxError as err:
+        # the sentinel ends the text on the line holding the error, never on a break
+        lines = (source[:err.position] + "x").splitlines()
+        raise LexiconError(f"line {len(lines)}, column {len(lines[-1])}: {err.message}") from None
     return lex
+
+
+class _InheritanceCycle(LexiconError):
+    def __init__(self, node: str):
+        super().__init__(f"inheritance cycle through word class {node!r}")
+        self.node = node
 
 
 def _ancestry(lex: Lexicon, word_class: str) -> list:
@@ -268,7 +207,7 @@ def _ancestry(lex: Lexicon, word_class: str) -> list:
     node = word_class
     while node is not None:
         if node in seen:
-            raise LexiconError(f"inheritance cycle through word class {node!r}")
+            raise _InheritanceCycle(node)
         if node not in lex.word_classes:
             raise LexiconError(f"unresolved parent {node!r}")
         seen.add(node)
@@ -298,6 +237,19 @@ def _override_merge(base: FeatureStructure, over: FeatureStructure) -> FeatureSt
     return FeatureStructure._from_sorted(merged)
 
 
+def _inherit(chain: list) -> tuple:
+    """Fold an inheritance chain, root first, into its features and its
+    valency slots by name."""
+    features = EMPTY
+    slots: dict = {}
+    for wc in chain:
+        features = _override_merge(features, wc.default_features)
+        for v in wc.valencies:
+            # reassignment keeps the first definition's list position
+            slots[v.name] = v
+    return features, slots
+
+
 def resolve_entry(lex: Lexicon, surface: str) -> list:
     """Flatten inheritance for every homonym of ``surface``.
 
@@ -306,14 +258,7 @@ def resolve_entry(lex: Lexicon, surface: str) -> list:
     """
     resolved = []
     for entry in lex.lexemes.get(surface, []):
-        chain = _ancestry(lex, entry.word_class)
-        features = EMPTY
-        slots: dict = {}
-        for wc in chain:
-            features = _override_merge(features, wc.default_features)
-            for v in wc.valencies:
-                # reassignment keeps the first definition's list position
-                slots[v.name] = v
+        features, slots = _inherit(_ancestry(lex, entry.word_class))
         features = _override_merge(features, entry.feature_overrides)
         resolved.append(ResolvedEntry(surface, entry.word_class, features,
                                       list(slots.values()), entry.concept))
@@ -341,14 +286,12 @@ def validate_lexicon(lex: Lexicon, kb: ConceptTaxonomy) -> list:
         if wc.parent is not None and wc.parent not in lex.word_classes:
             diagnostics.append(f"word class {name!r}: unresolved parent {wc.parent!r}")
             continue
-        node, seen = name, set()
-        while node is not None:
-            if node in seen:
-                diagnostics.append(f"word class {name!r}: inheritance cycle through {node!r}")
-                break
-            seen.add(node)
-            parent = lex.word_classes.get(node)
-            node = parent.parent if parent else None
+        try:
+            _ancestry(lex, name)
+        except _InheritanceCycle as err:
+            diagnostics.append(f"word class {name!r}: inheritance cycle through {err.node!r}")
+        except LexiconError:
+            pass  # a dangling parent further up, reported at the class naming it
 
     for name, wc in lex.word_classes.items():
         for v in wc.valencies:
@@ -370,9 +313,7 @@ def validate_lexicon(lex: Lexicon, kb: ConceptTaxonomy) -> list:
                 chain = _ancestry(lex, entry.word_class)
             except LexiconError:
                 continue  # already reported above
-            inherited = EMPTY
-            for wc in chain:
-                inherited = _override_merge(inherited, wc.default_features)
+            inherited, _ = _inherit(chain)
             if unify(inherited, entry.feature_overrides) is None:
                 diagnostics.append(
                     f"lexeme {surface!r}: overrides do not unify with inherited features")

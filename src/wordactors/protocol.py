@@ -733,7 +733,7 @@ def on_scan_next(ctx, env):
     born = []
     for entry, tag in zip(entries, tags):
         ws = WordState(
-            acquaintances={"scanner": ctx.actor_id, "left_neighbor": left},
+            acquaintances={"scanner": ctx.actor_id},
             surface=token, position=position, reading=tag,
             word_class=entry.word_class, concept=entry.concept,
             features=entry.features,

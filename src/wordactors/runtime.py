@@ -59,8 +59,6 @@ class MessageEnvelope:
     key: str
     params: dict
     initiator: Optional[int]
-    sender: Optional[int]
-    envelope_id: int
 
 
 @dataclass
@@ -108,7 +106,6 @@ class BehaviorDef:
 class SchedulerState:
     rng_seed: int
     pending: list = field(default_factory=list)  # (target, envelope, cause id or None)
-    delivered_count: int = 0
     posted_count: int = 0
 
 
@@ -198,7 +195,6 @@ class System:
         self.log_requests = log_requests
         self.request_log: dict[int, list] = {}
         self._next_actor_id = 1
-        self._next_envelope_id = 0
         self._current_event: Optional[int] = None
         self._current_allowed: Optional[frozenset] = None
         self._batch: list = []
@@ -231,13 +227,11 @@ class System:
         return actor_id
 
     def post(self, target: int, key: str, params: Optional[dict] = None,
-             initiator: Optional[int] = None, sender: Optional[int] = None,
-             cause: Optional[int] = None) -> None:
+             initiator: Optional[int] = None, cause: Optional[int] = None) -> None:
         """Queue an envelope; no processing happens until delivery."""
         if target not in self.actors:
             raise ContractViolation(f"post to unknown actor {target}")
-        env = MessageEnvelope(key, params or {}, initiator, sender, self._next_envelope_id)
-        self._next_envelope_id += 1
+        env = MessageEnvelope(key, params or {}, initiator)
         self.scheduler.pending.append((target, env, cause))
         self.scheduler.posted_count += 1
 
@@ -249,8 +243,7 @@ class System:
             raise ContractViolation(
                 f"behavior {actor.behavior.name!r} emitted undeclared key {key!r} "
                 f"while handling {self.net.events[self._current_event].key!r}")
-        self.post(target, key, params, initiator=initiator,
-                  sender=actor.actor_id, cause=self._current_event)
+        self.post(target, key, params, initiator=initiator, cause=self._current_event)
 
     def request(self, service: str, *args):
         """Synchronous call to a pure service, legal only inside an event."""
@@ -336,7 +329,6 @@ class System:
             self._current_event = None
             self._current_allowed = None
 
-        self.scheduler.delivered_count += 1
         return self.net.events[event_id]
 
     def run_to_quiescence(self) -> ev.EventNetwork:

@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wordactors.features import (
@@ -19,7 +19,7 @@ from wordactors.features import (
     subsumes,
     unify,
 )
-from wordactors.lexicon import _override_merge
+from wordactors.lexicon import LexiconError, _override_merge, load_lexicon
 
 
 def fs(text):
@@ -116,6 +116,11 @@ def test_parse_rejects_malformed_text(bad):
     with pytest.raises(FSSyntaxError) as err:
         parse_fs(bad)
     assert err.value.position >= 0
+
+
+def test_parse_skips_comments_between_tokens():
+    text = "# agreement\n{case: nom|  # or\n acc, agr: {num: sg}}  # done"
+    assert parse_fs(text) == fs("{case: nom|acc, agr: {num: sg}}")
 
 
 # -- randomized laws -------------------------------------------------------
@@ -261,3 +266,75 @@ def test_unpickled_hash_is_valid_across_processes():
                           capture_output=True, check=True).stdout
     f = pickle.loads(blob)
     assert f in {parse_fs("{c: z, a: {b: y|x}}")}
+
+
+# -- one grammar for parse_fs and lexicon feature blocks ----------------------
+
+# Names that are not lexicon keywords, so a stray one can never start a
+# valid lexicon clause or form; "q" is a string, which neither accepts.
+NAMES = ("a", "case", "nom", "x.1", "+3")
+PUNCT = ("{", "}", ":", ",", "|")
+SEPARATORS = ("", " ", "\t", "\n", "# note\n", " # } \"q\" :\n")
+
+
+def structure_tokens(depth=2):
+    atoms = st.lists(st.sampled_from(NAMES), min_size=1, max_size=3).map(
+        lambda names: [t for name in names for t in ("|", name)][1:])
+    value = atoms if depth == 0 else atoms | structure_tokens(depth - 1)
+    pair = st.tuples(st.sampled_from(NAMES), value).map(lambda p: [p[0], ":", *p[1]])
+    return st.lists(pair, max_size=3, unique_by=lambda p: p[0]).map(
+        lambda pairs: ["{", *[t for p in pairs for t in (",", *p)][1:], "}"])
+
+
+def broken(tokens):
+    """Delete, insert or replace one token of a well-formed structure."""
+    def apply(edit):
+        at, op, tok = edit
+        out = list(tokens)
+        if op == "ins":
+            out.insert(at, tok)
+        elif at < len(out):
+            out[at:at + 1] = [] if op == "del" else [tok]
+        return out
+    return st.tuples(st.sampled_from(range(len(tokens) + 1)),
+                     st.sampled_from(("del", "ins", "sub", "sub", "sub")),
+                     st.sampled_from(NAMES[:1] + PUNCT + ('"q"',))).map(apply)
+
+
+def spaced(tokens):
+    """Join tokens with random separators; returns the text and each token's
+    offset.  Two names are never joined with nothing, or they would read as
+    one."""
+    def join(seps):
+        text, offsets = seps[0], []
+        for i, tok in enumerate(tokens):
+            if not seps[i] and i and tokens[i - 1][0] not in '{}:,|"' and tok[0] not in '{}:,|"':
+                text += " "
+            offsets.append(len(text))
+            text += tok + seps[i + 1]
+        return text, offsets
+    return st.lists(st.sampled_from(SEPARATORS), min_size=len(tokens) + 1,
+                    max_size=len(tokens) + 1).map(join)
+
+
+broken_tokens = structure_tokens().flatmap(broken)
+token_texts = st.one_of(structure_tokens(), broken_tokens, broken_tokens).flatmap(spaced)
+
+
+@settings(max_examples=150)
+@given(token_texts)
+@example(("{case: , }", [0, 1, 5, 7, 9]))
+@example(('{a: "q"} # q\n', [0, 1, 2, 4, 7]))
+def test_parse_fs_and_lexicon_feature_blocks_agree(case):
+    text, offsets = case
+    try:
+        want = parse_fs(text)
+    except FSSyntaxError as err:
+        want = None
+        assert err.position in offsets or err.position == len(text)
+    try:
+        lex = load_lexicon("wordclass w { features " + text + " }")
+        got = lex.word_classes["w"].default_features
+    except LexiconError:
+        got = None
+    assert got == want

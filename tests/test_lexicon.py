@@ -1,16 +1,23 @@
 """Lexicon loading, inheritance flattening, and validation."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import DEMO_SENTENCE
 
-from wordactors.features import parse_fs
+from wordactors.features import EMPTY, parse_fs, unify
 from wordactors.lexicon import (
     LEFT,
     MANDATORY,
     OPTIONAL,
     RIGHT,
+    LexemeEntry,
+    Lexicon,
     LexiconError,
+    ValencyDef,
+    WordClassDef,
+    _override_merge,
     load_lexicon,
     resolve_entry,
     subclass_of,
@@ -177,3 +184,150 @@ def test_conflicting_lexeme_override_is_diagnosed(demo_kb):
     }
     """)
     assert any("overrides do not unify" in d for d in validate_lexicon(lex, demo_kb))
+
+
+# -- one grammar: inputs the loader once read as names -----------------------
+
+@pytest.mark.parametrize("block, column", [
+    ("features { case: , }", 20),
+    ("features { |: x }", 14),
+    ("features { a: } }", 17),
+    ('features { a: "q" }', 17),
+    ("valency v { class: ,  dir: left  necessity: optional }", 22),
+])
+def test_non_name_token_is_rejected_at_its_position(block, column):
+    # the offending token sits on line 2, after a two-space indent
+    with pytest.raises(LexiconError) as err:
+        load_lexicon("wordclass a {\n  " + block + "\n}\n")
+    assert str(err.value).startswith(f"line 2, column {column}: expected a name")
+
+
+@pytest.mark.parametrize("text, clause", [
+    ("wordclass a { features { } features { x: y } }", "'features' clause in wordclass 'a'"),
+    ('wordclass a { }\nlexeme "w" : a { features { } features { x: y } }',
+     "'features' clause in lexeme 'w'"),
+    ('wordclass a { }\nlexeme "w" : a { concept: c concept: d }', "'concept' clause in lexeme 'w'"),
+    ("wordclass a { valency v { class: a  dir: left  dir: right  necessity: optional } }",
+     "'dir' clause in valency 'v' of 'a'"),
+], ids=["wordclass-features", "lexeme-features", "lexeme-concept", "valency-key"])
+def test_repeated_clause_is_rejected_even_when_the_first_is_empty(text, clause):
+    with pytest.raises(LexiconError, match=f"repeated {clause}"):
+        load_lexicon(text)
+
+
+@pytest.mark.parametrize("text", [
+    "wordclass a { }\nwordclass a { }",
+    "wordclass a {\n  valency v { class: a }\n}",
+    "wordclass a {\n  valency v { class: a  dir: up  necessity: optional }\n}",
+    "wordclass a { colour: red }",
+    'lexeme w : a { }',
+    "sentence { }",
+    "wordclass a {",
+])
+def test_every_loader_error_names_line_and_column(text):
+    with pytest.raises(LexiconError, match=r"^line \d+, column \d+: "):
+        load_lexicon(text)
+
+
+# -- validation against a walker of its own ----------------------------------
+
+def reference_validate(lex, kb):
+    """``validate_lexicon`` as written with its own parent walk, kept to
+    check that sharing ``_ancestry`` and the inheritance fold changed no
+    diagnostic."""
+    diagnostics = []
+
+    for name, wc in lex.word_classes.items():
+        if wc.parent is not None and wc.parent not in lex.word_classes:
+            diagnostics.append(f"word class {name!r}: unresolved parent {wc.parent!r}")
+            continue
+        node, seen = name, set()
+        while node is not None:
+            if node in seen:
+                diagnostics.append(f"word class {name!r}: inheritance cycle through {node!r}")
+                break
+            seen.add(node)
+            parent = lex.word_classes.get(node)
+            node = parent.parent if parent else None
+
+    for name, wc in lex.word_classes.items():
+        for v in wc.valencies:
+            if v.modifier_word_class not in lex.word_classes:
+                diagnostics.append(
+                    f"valency {v.name!r} of {name!r}: unresolved class {v.modifier_word_class!r}")
+            if v.conceptual_role is not None and v.conceptual_role not in kb.roles:
+                diagnostics.append(
+                    f"valency {v.name!r} of {name!r}: unresolved role {v.conceptual_role!r}")
+
+    def chain_of(node):
+        chain, seen = [], set()
+        while node is not None:
+            if node in seen or node not in lex.word_classes:
+                return None
+            seen.add(node)
+            chain.append(lex.word_classes[node])
+            node = lex.word_classes[node].parent
+        return chain[::-1]
+
+    for surface, entries in lex.lexemes.items():
+        for entry in entries:
+            if entry.word_class not in lex.word_classes:
+                diagnostics.append(f"lexeme {surface!r}: unresolved word class {entry.word_class!r}")
+                continue
+            if entry.concept is not None and entry.concept not in kb.concepts:
+                diagnostics.append(f"lexeme {surface!r}: unresolved concept {entry.concept!r}")
+            chain = chain_of(entry.word_class)
+            if chain is None:
+                continue
+            inherited = EMPTY
+            for wc in chain:
+                inherited = _override_merge(inherited, wc.default_features)
+            if unify(inherited, entry.feature_overrides) is None:
+                diagnostics.append(
+                    f"lexeme {surface!r}: overrides do not unify with inherited features")
+
+    return diagnostics
+
+
+CLASSES = ("a", "b", "c", "d", "e")
+CASES = (EMPTY, parse_fs("{case: nom}"), parse_fs("{case: acc}"), parse_fs("{agr: {num: sg}}"))
+
+
+def build_lexicon(parents, lexemes, features=()):
+    """``parents`` maps each class to its parent (or None); ``lexemes`` are
+    (surface, class, override index) triples; ``features`` indexes CASES."""
+    lex = Lexicon()
+    for i, (name, parent) in enumerate(parents.items()):
+        f = CASES[features[i]] if i < len(features) else EMPTY
+        target = parent if parent is not None else name
+        valency = ValencyDef("v", target, conceptual_role="agent" if i % 2 else "ghost-role")
+        lex.word_classes[name] = WordClassDef(name, parent, f, [valency])
+    for surface, word_class, over in lexemes:
+        lex.lexemes.setdefault(surface, []).append(
+            LexemeEntry(surface, word_class, CASES[over], "company" if over % 2 else "ghost"))
+    return lex
+
+
+@st.composite
+def class_graphs(draw):
+    names = CLASSES[:draw(st.integers(1, len(CLASSES)))]
+    targets = st.sampled_from(names + ("ghost", "phantom", None))
+    parents = {name: draw(targets) for name in names}
+    lexemes = draw(st.lists(st.tuples(st.sampled_from(("w", "x", "y")),
+                                      st.sampled_from(names + ("ghost",)),
+                                      st.integers(0, len(CASES) - 1)), max_size=5))
+    features = draw(st.lists(st.integers(0, len(CASES) - 1),
+                             min_size=len(names), max_size=len(names)))
+    return parents, lexemes, features
+
+
+@settings(max_examples=300)
+@given(class_graphs())
+@example(({"a": "ghost", "b": "a", "c": "b"}, [("w", "c", 1), ("x", "b", 0)], ()))
+@example(({"a": "a", "b": "a"}, [("w", "a", 1), ("w", "b", 2)], ()))
+@example(({"a": "b", "b": "a", "c": "a"}, [("w", "c", 0), ("x", "a", 2)], ()))
+@example(({"a": "b", "b": "c", "c": "a", "d": "c", "e": None},
+          [("w", "b", 1), ("y", "e", 2)], (1, 0, 2, 1, 1)))
+def test_validation_matches_its_own_walker(demo_kb, graph):
+    lex = build_lexicon(*graph)
+    assert validate_lexicon(lex, demo_kb) == reference_validate(lex, demo_kb)
