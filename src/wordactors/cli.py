@@ -3,8 +3,8 @@
 Four commands: ``parse`` runs one sentence to quiescence and prints its
 readings, ``etn`` emits the static event type network, ``validate`` checks
 lexicon and taxonomy, and ``oracle-compare`` replays a corpus under many
-scheduler seeds and diffs the actor parser against the brute-force
-reference parser.
+scheduler seeds and diffs the actor parser against the chart-based
+reference parser, which takes sentences of any length.
 
 Exit codes for ``parse``: 0 with at least one reading, 2 with none, 1 on
 any error.  The other commands exit 0 on success and 1 otherwise.  A usage
@@ -211,7 +211,7 @@ def _build_argparser():
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("oracle-compare",
-                       help="diff the actor parser against the exhaustive reference")
+                       help="diff the actor parser against the chart reference parser")
     p.add_argument("corpus", nargs="?", metavar="PATH",
                    help="corpus file (default: bundled corpus)")
     lexicon_opts(p)

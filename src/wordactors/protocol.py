@@ -409,9 +409,7 @@ def _on_offer(ctx, env):
     state.head_links.append(HeadLink(context, offerer, env.params["valency"]))
     state.phase = GOVERNED
     ctx.bump()
-    for _label, fill in _visible_fills(state, reg, context):
-        ctx.send(fill.filler, UPDATE_FEATURES, initiator=episode,
-                 delta=constraints, reading=context)
+    _narrow_modifiers(ctx, context, constraints, episode)
     ctx.send(offerer, HEAD_ACCEPTED, initiator=episode,
              role="fills-your-slot", modifier=ctx.actor_id,
              valency=env.params["valency"], reading=context,
@@ -427,25 +425,23 @@ def _split_reading(ctx, env):
     under a fresh child reading and asks the offerer to re-stage the offer
     against the copy.
     """
-    state, reg = ctx.state, _registry(ctx)
     episode = env.initiator
-    branch = reg.new_child(env.params["reading"])
+    branch = _registry(ctx).new_child(env.params["reading"])
 
-    twin = _spawn_copy(ctx, state, branch, head_link=None, exclude=None)
-    for _label, fill in _visible_fills(state, reg, branch):
-        ctx.send(fill.filler, COPY_STRUCTURE, initiator=episode,
-                 reading=branch, new_head=twin, exclude=None)
+    twin = _spawn_copy(ctx, episode, branch, head_link=None, exclude=None)
     ctx.send(env.params["offerer"], DUPLICATE_STRUCTURE, initiator=episode,
              reading=branch, new_root=twin)
 
 
-def _spawn_copy(ctx, state, branch, head_link, exclude, pending_offer=None):
-    """One node of a structure copy.  Valencies start empty; the rebuild
-    acceptances from the copied modifiers fill them back in.  A withheld
-    receipt the copy takes over arrives as ``pending_offer``."""
-    reg = _registry(ctx)
-    rebuilds = {label for label, fill in _visible_fills(state, reg, branch)
-                if fill.filler != exclude}
+def _spawn_copy(ctx, episode, branch, head_link, exclude, pending_offer=None):
+    """One node of a structure copy.  Valencies start empty; the copy's
+    modifiers in the branch, bar ``exclude``, are asked to copy themselves
+    below it, and their rebuild acceptances fill the valencies back in.  A
+    withheld receipt the copy takes over arrives as ``pending_offer``."""
+    state = ctx.state
+    copied = [(label, fill.filler)
+              for label, fill in _visible_fills(state, _registry(ctx), branch)
+              if fill.filler != exclude]
     twin = WordState(
         acquaintances=dict(state.acquaintances),
         surface=state.surface, position=state.position, reading=branch,
@@ -455,9 +451,14 @@ def _spawn_copy(ctx, state, branch, head_link, exclude, pending_offer=None):
         head_links=[head_link] if head_link is not None else [],
         phase=GOVERNED if head_link is not None else state.phase,
         left_edge=state.position, right_edge=state.position,
-        pending_offer=pending_offer, expected_rebuilds=rebuilds,
+        pending_offer=pending_offer,
+        expected_rebuilds={label for label, _modifier in copied},
         origin_of=ctx.actor_id)
-    return ctx.spawn("word", state.surface, twin)
+    twin = ctx.spawn("word", state.surface, twin)
+    for _label, modifier in copied:
+        ctx.send(modifier, COPY_STRUCTURE, initiator=episode,
+                 reading=branch, new_head=twin, exclude=exclude)
+    return twin
 
 
 def _on_application(ctx, env):
@@ -521,9 +522,7 @@ def _on_slot_filled(ctx, env):
         state.right_edge = max(state.right_edge, p["right_edge"])
         state.pending_offer = None
         ctx.bump()
-        ctx.send(held.initiator, RECEIPT, initiator=held.initiator,
-                 reading=held.reading, answered_by=held.answered_by,
-                 passed_on=list(held.distributed_to))
+        _release(ctx, held)
         _maybe_release_deferral(ctx, p["reading"])
         return
 
@@ -540,7 +539,7 @@ def _on_slot_filled(ctx, env):
 
 
 def _on_application_accepted(ctx, env):
-    state, reg = ctx.state, _registry(ctx)
+    state = ctx.state
     p = env.params
     context = p["reading"]
     episode = env.initiator
@@ -559,10 +558,7 @@ def _on_application_accepted(ctx, env):
     state.head_links.append(HeadLink(context, p["head"], p["valency"]))
     state.phase = GOVERNED
     ctx.bump()
-
-    for _label, fill in _visible_fills(state, reg, context):
-        ctx.send(fill.filler, UPDATE_FEATURES, initiator=episode,
-                 delta=p["delta"], reading=context)
+    _narrow_modifiers(ctx, context, p["delta"], episode)
 
     # The candidate's phrase now reaches further left; the search front
     # moves on to whatever borders this word on the left.
@@ -589,6 +585,12 @@ def on_head_retracted(ctx, env):
     else:
         raise ProtocolError(f"{state.surface}: retraction without anything pending")
     ctx.bump()
+    _release(ctx, held)
+
+
+def _release(ctx, held):
+    """Send the receipt a word withheld while its offer or application was
+    open."""
     ctx.send(held.initiator, RECEIPT, initiator=held.initiator,
              reading=held.reading, answered_by=held.answered_by,
              passed_on=list(held.distributed_to))
@@ -617,16 +619,21 @@ def on_receipt(ctx, env):
 
 
 def on_update_features(ctx, env):
-    state, reg = ctx.state, _registry(ctx)
+    state = ctx.state
     delta = env.params["delta"]
-    context = env.params["reading"]
     merged = ctx.request("unify", state.features, delta)
     if merged is None:
         raise ProtocolError(f"{state.surface}: feature update no longer unifies")
     state.features = merged
     ctx.bump()
-    for _label, fill in _visible_fills(state, reg, context):
-        ctx.send(fill.filler, UPDATE_FEATURES, initiator=env.initiator,
+    _narrow_modifiers(ctx, env.params["reading"], delta, env.initiator)
+
+
+def _narrow_modifiers(ctx, context, delta, episode):
+    """Pass a feature restriction on to the own modifiers visible in the
+    reading."""
+    for _label, fill in _visible_fills(ctx.state, _registry(ctx), context):
+        ctx.send(fill.filler, UPDATE_FEATURES, initiator=episode,
                  delta=delta, reading=context)
 
 
@@ -642,13 +649,9 @@ def on_copy_structure(ctx, env):
     link = _governing_link(state, reg, branch)
     if link is None:
         raise ProtocolError(f"{state.surface}: asked to copy but has no head")
-    twin = _spawn_copy(ctx, state, branch,
+    twin = _spawn_copy(ctx, env.initiator, branch,
                        head_link=HeadLink(branch, p["new_head"], link.label),
                        exclude=exclude)
-    for _label, fill in _visible_fills(state, reg, branch):
-        if fill.filler != exclude:
-            ctx.send(fill.filler, COPY_STRUCTURE, initiator=env.initiator,
-                     reading=branch, new_head=twin, exclude=exclude)
     left, right = _span_without(state, reg, branch, exclude)
     ctx.send(p["new_head"], HEAD_ACCEPTED, initiator=env.initiator,
              role="fills-your-slot", modifier=twin, valency=link.label,
@@ -670,25 +673,19 @@ def on_duplicate_structure(ctx, env):
     """The offerer's side of an ambiguity split: copy the own phrase minus
     the candidate's re-rooted part, move the withheld receipt onto the
     copy, and repeat the offer against the new dependent root."""
-    state, reg = ctx.state, _registry(ctx)
+    state = ctx.state
     p = env.params
     branch, new_root = p["reading"], p["new_root"]
     held = state.pending_offer
     if held is None:
         raise ProtocolError(f"{state.surface}: duplicateStructure without an open offer")
     state.pending_offer = None
-    exclude = held.candidate
+    ctx.bump()
 
     # The copy owes the receipt now, but in the original's name and for the
     # original reading: the searcher's ledger knows neither copy nor branch.
-    twin = _spawn_copy(ctx, state, branch, head_link=None, exclude=exclude,
+    twin = _spawn_copy(ctx, env.initiator, branch, head_link=None, exclude=held.candidate,
                        pending_offer=replace(held, candidate=new_root))
-    ctx.bump()
-
-    for _label, fill in _visible_fills(state, reg, branch):
-        if fill.filler != exclude:
-            ctx.send(fill.filler, COPY_STRUCTURE, initiator=env.initiator,
-                     reading=branch, new_head=twin, exclude=exclude)
     ctx.send(new_root, HEAD_FOUND, initiator=env.initiator,
              role="offer", offerer=twin, valency=held.valency,
              constraints=held.constraints, reading=branch)

@@ -1,7 +1,8 @@
 """Canonical dependency-tree values shared by the parser and the oracle.
 
 Only representation and rendering live here, no constraint logic, so the
-brute-force oracle can share it without depending on the parsing machinery.
+chart reference parser can share it without depending on the parsing
+machinery.
 """
 
 from __future__ import annotations

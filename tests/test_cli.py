@@ -156,11 +156,13 @@ def test_oracle_compare_flags_wrong_expectations(tmp_path, capsys):
     assert "1 mismatches" in out
 
 
-def test_oracle_compare_rejects_long_sentences(tmp_path, capsys):
+def test_oracle_compare_accepts_long_sentences(tmp_path, capsys):
     corpus = tmp_path / "corpus.txt"
-    corpus.write_text(" ".join(["mit"] * 11) + "\n")
-    assert cli.main(["oracle-compare", str(corpus)]) == 1
-    assert "10 tokens" in capsys.readouterr().err
+    sentence = "Compaq entwickelt einen Notebook" + 3 * " mit einer Harddisk"
+    assert len(sentence.split()) == 13
+    corpus.write_text(f"1 | {sentence}\n")
+    assert cli.main(["oracle-compare", str(corpus), "--seeds", "3"]) == 0
+    assert capsys.readouterr().out == "1 sentences, 3 seeds, 0 mismatches\n"
 
 
 def test_oracle_compare_rejects_bad_counts(tmp_path, capsys):
