@@ -8,9 +8,9 @@ reference parser, which takes sentences of any length.
 
 Exit codes for ``parse``: 0 with at least one reading, 2 with none, 1 on
 any error.  The other commands exit 0 on success and 1 otherwise.  A usage
-error (unknown option, malformed value) is an error too and exits 1;
-``--help`` exits 0.  Output is byte-stable for identical inputs in
-sequential mode.
+error (unknown option, malformed value, a negative ``--seeds`` or a
+``--steps`` below 1) is an error too and exits 1; ``--help`` exits 0.
+Output is byte-stable for identical inputs in sequential mode.
 """
 
 from __future__ import annotations
@@ -154,6 +154,17 @@ def cmd_oracle_compare(args) -> int:
     return 1 if mismatches else 0
 
 
+def _int_at_least(low):
+    """An argparse type: an integer no smaller than ``low``."""
+    def int_(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    int_.__name__ = "int"   # argparse names the type in "invalid int value"
+    return int_
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """argparse exits 2 on a usage error; here 2 means "no complete
     reading", so usage errors exit 1 like every other error."""
@@ -178,7 +189,7 @@ def _build_argparser():
     def run_opts(sp):
         sp.add_argument("--seed", type=int, default=0,
                         help="scheduler seed (default 0)")
-        sp.add_argument("--steps", type=int, default=100_000,
+        sp.add_argument("--steps", type=_int_at_least(1), default=100_000,
                         help="delivery ceiling before giving up (default 100000)")
         sp.add_argument("--mode", choices=("sequential", "parallel"),
                         default="sequential", help="scheduling mode")
@@ -216,7 +227,7 @@ def _build_argparser():
                    help="corpus file (default: bundled corpus)")
     lexicon_opts(p)
     run_opts(p)
-    p.add_argument("--seeds", type=int, default=100,
+    p.add_argument("--seeds", type=_int_at_least(0), default=100,
                    help="number of scheduler seeds per sentence (default 100)")
     p.set_defaults(func=cmd_oracle_compare)
     return parser

@@ -37,11 +37,6 @@ SCAN_NEXT = "scanNext"
 COPY_STRUCTURE = "copyStructure"
 DUPLICATE_STRUCTURE = "duplicateStructure"
 
-DEFERRING = "deferring"
-SEEKING = "seekingHead"
-GOVERNED = "governed"
-ROOT_FINAL = "root-final"
-
 
 class ProtocolError(RuntimeError):
     """A word received a message its bookkeeping cannot account for."""
@@ -116,12 +111,6 @@ class ReceiptLedger:
 
 
 @dataclass
-class SearchEpisode:
-    reading: int
-    ledger: ReceiptLedger
-
-
-@dataclass
 class HeldReceipt:
     """An offer or application whose receipt is withheld until it resolves.
 
@@ -150,12 +139,11 @@ class WordState(rt.ActorState):
     features: FeatureStructure = EMPTY
     slots: list = field(default_factory=list)
     head_links: list = field(default_factory=list)
-    phase: str = SEEKING
     deferred: bool = False
     left_edge: int = 0
     right_edge: int = 0
     left_exit: Optional[int] = None   # actor just left of the own phrase
-    episodes: dict = field(default_factory=dict)   # reading -> SearchEpisode
+    episodes: dict = field(default_factory=dict)   # reading -> ReceiptLedger
     searches_launched: set = field(default_factory=set)
     pending_offer: Optional[HeldReceipt] = None
     pending_application: Optional[HeldReceipt] = None
@@ -267,12 +255,10 @@ def _admits(ctx, spec, head_concept, mod_class, mod_features, mod_concept):
 # words (once their rightward obligations are met).
 
 def _launch_search(ctx, word_id, state, context):
-    reg = _registry(ctx)
-    state.phase = SEEKING
     state.searches_launched.add(context)
-    state.episodes[context] = SearchEpisode(context, ReceiptLedger({state.left_exit}))
+    state.episodes[context] = ReceiptLedger({state.left_exit})
     ctx.send(state.left_exit, SEARCH_HEAD, initiator=word_id,
-             candidate=word_id, profile=_profile(state, reg, context))
+             candidate=word_id, profile=_profile(state, _registry(ctx), context))
 
 
 def _maybe_release_deferral(ctx, context):
@@ -293,9 +279,7 @@ def _maybe_release_deferral(ctx, context):
     else:
         # Nothing to the left at all: this word closes as the root and the
         # scanner may continue.
-        state.phase = ROOT_FINAL
         state.searches_launched.add(context)
-        ctx.shared["stats"]["final_root_starts"] += 1
         ctx.send(state.acquaintances["scanner"], SCAN_NEXT)
 
 
@@ -407,7 +391,6 @@ def _on_offer(ctx, env):
 
     state.features = merged
     state.head_links.append(HeadLink(context, offerer, env.params["valency"]))
-    state.phase = GOVERNED
     ctx.bump()
     _narrow_modifiers(ctx, context, constraints, episode)
     ctx.send(offerer, HEAD_ACCEPTED, initiator=episode,
@@ -449,7 +432,6 @@ def _spawn_copy(ctx, episode, branch, head_link, exclude, pending_offer=None):
         features=state.features,
         slots=[Slot(s.spec) for s in state.slots],
         head_links=[head_link] if head_link is not None else [],
-        phase=GOVERNED if head_link is not None else state.phase,
         left_edge=state.position, right_edge=state.position,
         pending_offer=pending_offer,
         expected_rebuilds={label for label, _modifier in copied},
@@ -556,7 +538,6 @@ def _on_application_accepted(ctx, env):
         raise ProtocolError(f"{state.surface}: accepted application no longer unifies")
     state.features = merged
     state.head_links.append(HeadLink(context, p["head"], p["valency"]))
-    state.phase = GOVERNED
     ctx.bump()
     _narrow_modifiers(ctx, context, p["delta"], episode)
 
@@ -598,23 +579,20 @@ def _release(ctx, held):
 
 def on_receipt(ctx, env):
     state = ctx.state
-    ep = state.episodes.get(env.params["reading"])
-    if ep is None or ep.ledger.closed:
+    ledger = state.episodes.get(env.params["reading"])
+    if ledger is None or ledger.closed:
         raise ProtocolError(f"{state.surface}: receipt without an open ledger")
     sender = env.params["answered_by"]
-    if sender in ep.ledger.received:
+    if sender in ledger.received:
         raise ProtocolError(f"{state.surface}: duplicate receipt from actor {sender}")
-    ep.ledger.received.add(sender)
+    ledger.received.add(sender)
     # A receipt may overtake the receipt of the word that passed the search
     # on, so `received` can run ahead of `expected`; the two agree again at
     # closing time because the forwarder itself still owes its receipt.
-    ep.ledger.expected.update(env.params["passed_on"])
+    ledger.expected.update(env.params["passed_on"])
     ctx.bump()
-    if ep.ledger.received == ep.ledger.expected:
-        ep.ledger.closed = True
-        ctx.shared["stats"]["ledger_closes"] += 1
-        if _governing_link(state, _registry(ctx), ep.reading) is None:
-            state.phase = ROOT_FINAL
+    if ledger.received == ledger.expected:
+        ledger.closed = True
         ctx.send(state.acquaintances["scanner"], SCAN_NEXT, initiator=ctx.actor_id)
 
 
@@ -700,12 +678,10 @@ def on_scan_next(ctx, env):
         return
     token = st.tokens[st.cursor]
     entries = ctx.request("resolve_entry", token)
-    stats = ctx.shared["stats"]
 
     if not entries:
         if st.lenient:
             st.cursor += 1
-            stats["lenient_skips"] += 1
             ctx.bump()
             ctx.send(ctx.actor_id, SCAN_NEXT)
             return
@@ -720,8 +696,6 @@ def on_scan_next(ctx, env):
     position = st.spawned
     st.cursor += 1
     ctx.bump()
-    stats["spawning_deliveries"] += 1
-    stats["spawned_positions"].add(position)
 
     reg = _registry(ctx)
     left = st.prev_ids[0] if st.prev_ids else None
@@ -744,12 +718,8 @@ def on_scan_next(ctx, env):
             # The word must collect its rightward dependents before it can
             # tell what phrase it stands for; its head search waits.
             ws.deferred = True
-            ws.phase = DEFERRING
-            stats["deferrals"] += 1
             ctx.send(ctx.actor_id, SCAN_NEXT)
         elif left is None:
-            ws.phase = ROOT_FINAL
-            stats["first_word_starts"] += 1
             ctx.send(ctx.actor_id, SCAN_NEXT)
         else:
             _launch_search(ctx, wid, ws, ws.reading)
@@ -881,10 +851,6 @@ def build_system(lexicon, kb, tokens, *, seed=0, mode="sequential",
     system.register_service("resolve_entry", resolve)
 
     system.shared["readings"] = ReadingRegistry()
-    system.shared["stats"] = {
-        "deferrals": 0, "first_word_starts": 0, "ledger_closes": 0,
-        "final_root_starts": 0, "lenient_skips": 0,
-        "spawning_deliveries": 0, "spawned_positions": set()}
     system.shared["debug_checks"] = debug_checks
 
     scanner = system.spawn("scanner", "scanner",
@@ -905,6 +871,10 @@ def run_parse(lexicon, kb, tokens, **kw):
 
 def _word_actors(system):
     return [a for a in system.actors.values() if a.behavior.name == "word"]
+
+
+def _scanner_state(system) -> ScannerState:
+    return next(a.state for a in system.actors.values() if a.behavior.name == "scanner")
 
 
 def _effective_link(system, reg, actor, context):
@@ -928,7 +898,7 @@ def read_out_trees(system) -> list:
     rooted, projective tree with all mandatory valencies filled."""
     reg = system.shared["readings"]
     words = _word_actors(system)
-    positions = sorted(system.shared["stats"]["spawned_positions"])
+    positions = list(range(1, _scanner_state(system).spawned + 1))
     actor_pos = {a.actor_id: a.state.position for a in words}
     by_tag = {}
     for a in words:
@@ -1026,19 +996,35 @@ def _assert_on_fringe(ctx, profile):
 
 
 def check_invariants(system, net=None, etn=None) -> list:
-    """Everything that must hold of a quiescent run; empty list means pass."""
+    """Everything that must hold of a quiescent run; empty list means pass.
+
+    The scanNext and spawn accounting reads the run's facts off the final
+    states.  Besides the kick, scanNext goes out once per skipped token (the
+    scanner's ``cursor - spawned``), per closed ledger, per scanner-spawned
+    word (``origin_of`` None) that deferred or starts the text, and per
+    reading in which a deferred word closed as the root without a search
+    (``searches_launched`` minus ``episodes``)."""
     problems = []
-    stats = system.shared["stats"]
+    scanner = _scanner_state(system)
+    predicted = 1 + scanner.cursor - scanner.spawned
+    born_positions = set()
 
     for a in _word_actors(system):
         st = a.state
         where = f"{st.surface}@{st.position}"
-        for ep in st.episodes.values():
-            led = ep.ledger
+        if st.origin_of is None:
+            born_positions.add(st.position)
+            if st.deferred:
+                predicted += 1 + len(st.searches_launched - st.episodes.keys())
+            elif st.position == 1:
+                predicted += 1
+        for led in st.episodes.values():
             if not led.closed:
                 missing = sorted(led.expected - led.received)
                 problems.append(f"{where}: receipt ledger still open, waiting for {missing}")
-            elif led.received != led.expected:
+                continue
+            predicted += 1
+            if led.received != led.expected:
                 problems.append(f"{where}: ledger closed but out of balance")
         if st.pending_offer is not None:
             problems.append(f"{where}: head offer never answered")
@@ -1050,16 +1036,13 @@ def check_invariants(system, net=None, etn=None) -> list:
 
     if net is not None:
         scans = sum(1 for e in net.events if e.key == SCAN_NEXT)
-        predicted = (1 + stats["deferrals"] + stats["first_word_starts"]
-                     + stats["ledger_closes"] + stats["final_root_starts"]
-                     + stats["lenient_skips"])
         if scans != predicted:
             problems.append(f"scanNext accounting: {scans} events, predicted {predicted}")
         if etn is None:
             etn = ev.derive_etn(protocol_behaviors())
         problems.extend(ev.validate_trace(net, etn))
 
-    if stats["spawning_deliveries"] != len(stats["spawned_positions"]):
+    if born_positions != set(range(1, scanner.spawned + 1)):
         problems.append("token spawn accounting is off")
 
     for tree in read_out_trees(system):

@@ -104,7 +104,6 @@ class BehaviorDef:
 
 @dataclass
 class SchedulerState:
-    rng_seed: int
     pending: list = field(default_factory=list)  # (target, envelope, cause id or None)
     posted_count: int = 0
 
@@ -185,7 +184,7 @@ class System:
             raise ValueError(f"unknown mode {mode!r}")
         self.behaviors: dict[str, BehaviorDef] = {}
         self.actors: dict[int, Actor] = {}
-        self.scheduler = SchedulerState(rng_seed=seed)
+        self.scheduler = SchedulerState()
         self._rng = random.Random(seed)
         self.net = ev.EventNetwork()
         self.services: dict[str, Callable] = {}

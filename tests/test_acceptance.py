@@ -215,7 +215,7 @@ def sweep(demo_lexicon, demo_kb):
                                               seed=seed)
             outcomes.append(Counter(t.canonical() for t in trees))
             problems.extend(pt.check_invariants(system, net, etn))
-            deferrals = max(deferrals, system.shared["stats"]["deferrals"])
+            deferrals = max(deferrals, sum(a.state.deferred for a in pt._word_actors(system)))
         rows.append((tokens, want, reference, outcomes, problems, deferrals))
     return rows, time.perf_counter() - started
 

@@ -33,7 +33,11 @@ def test_parse_unknown_word_exits_1(capsys):
 
 @pytest.mark.parametrize("argv", [["parse", "--seed", "x", "mit"],
                                   ["parse", "--bogus", "mit"],
-                                  ["etn", "--bogus"]])
+                                  ["etn", "--bogus"],
+                                  ["oracle-compare", "--seeds", "-2"],
+                                  ["oracle-compare", "--steps", "0"],
+                                  ["parse", "--steps", "0", "Atari"],
+                                  ["parse", "--steps", "-5", "Atari"]])
 def test_usage_errors_exit_1_not_2(argv, capsys):
     # 2 is reserved for "no complete reading"
     with pytest.raises(SystemExit) as exit_:
@@ -42,6 +46,15 @@ def test_usage_errors_exit_1_not_2(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: wordactors")
     assert "error:" in err
+
+
+def test_zero_seeds_and_one_step_are_accepted(capsys):
+    # the lowest counts that are not usage errors
+    assert cli.main(["oracle-compare", "--seeds", "0"]) == 0
+    assert capsys.readouterr().out == "14 sentences, 0 seeds, 0 mismatches\n"
+    # one delivery is too few for any parse, but it is a valid ceiling
+    assert cli.main(["parse", "--steps", "1", "Atari"]) == 1
+    assert "step ceiling 1 exceeded" in capsys.readouterr().err
 
 
 def test_help_exits_0(capsys):

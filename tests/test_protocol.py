@@ -31,6 +31,8 @@ def test_sample_sentence_has_exactly_the_six_edges(demo_lexicon, demo_kb):
     assert len(trees) == 1
     assert trees[0].render() == "\n".join(DEMO_EDGES)
     assert pt.check_invariants(system, net, ETN) == []
+    # run facts live in the actors' states; the registry is all handlers share
+    assert sorted(system.shared) == ["debug_checks", "readings"]
 
 
 def test_corpus_counts_and_oracle_agreement(demo_lexicon, demo_kb):
@@ -46,7 +48,8 @@ def test_corpus_counts_and_oracle_agreement(demo_lexicon, demo_kb):
 def test_deferral_happens_twice_in_the_sample(demo_lexicon, demo_kb):
     # the verb waits for its direct object, the preposition for its noun
     system, _, _ = pt.run_parse(demo_lexicon, demo_kb, DEMO_SENTENCE)
-    assert system.shared["stats"]["deferrals"] == 2
+    deferred = [a.state.surface for a in pt._word_actors(system) if a.state.deferred]
+    assert deferred == ["entwickelt", "mit"]
 
 
 def test_every_episode_ledger_closes(demo_lexicon, demo_kb):
@@ -54,9 +57,9 @@ def test_every_episode_ledger_closes(demo_lexicon, demo_kb):
     for actor in system.actors.values():
         if actor.behavior.name != "word":
             continue
-        for episode in actor.state.episodes.values():
-            assert episode.ledger.closed
-            assert episode.ledger.received == episode.ledger.expected
+        for ledger in actor.state.episodes.values():
+            assert ledger.closed
+            assert ledger.received == ledger.expected
 
 
 def test_feature_updates_cascade_to_the_determiner(demo_lexicon, demo_kb):
@@ -92,7 +95,8 @@ def test_unknown_word_aborts_in_strict_mode(demo_lexicon, demo_kb):
 def test_unknown_word_is_skipped_in_lenient_mode(demo_lexicon, demo_kb):
     system, _, trees = pt.run_parse(demo_lexicon, demo_kb,
                                     ["eine", "zzz", "Harddisk"], lenient=True)
-    assert system.shared["stats"]["lenient_skips"] == 1
+    scanner = pt._scanner_state(system)
+    assert (scanner.cursor, scanner.spawned) == (3, 2)
     assert len(trees) == 1
     assert trees[0].render() == "Harddisk —spec→ eine"
 
@@ -169,33 +173,92 @@ def test_withdrawn_offer_releases_the_receipt(demo_lexicon, demo_kb):
     assert pt.check_invariants(system, system.net, ETN) == []
 
 
-def test_fringe_discipline_is_checked_on_every_search(demo_lexicon, demo_kb):
-    # debug checks stay on by default in run_parse; a full corpus pass
-    # without an assertion error is the positive half of the property
+def test_fringe_discipline_is_checked_on_every_search(monkeypatch, demo_lexicon, demo_kb):
+    # debug checks stay on by default in run_parse: every searchHead
+    # delivery runs the fringe check once, at its receiver
+    checked = []
+    check = pt._assert_on_fringe
+
+    def counted(ctx, profile):
+        checked.append(ctx.actor_id)
+        check(ctx, profile)
+
+    monkeypatch.setattr(pt, "_assert_on_fringe", counted)
+    searches = 0
     for _want, tokens in corpus_cases():
-        system, _, _ = pt.run_parse(demo_lexicon, demo_kb, list(tokens), seed=2)
-        assert system.shared["debug_checks"]
+        checked.clear()
+        _, net, _ = pt.run_parse(demo_lexicon, demo_kb, list(tokens), seed=2)
+        delivered = [e.target for e in net.events if e.key == pt.SEARCH_HEAD]
+        assert checked == delivered, tokens
+        searches += len(delivered)
+        checked.clear()
+        pt.run_parse(demo_lexicon, demo_kb, list(tokens), seed=2, debug_checks=False)
+        assert checked == [], tokens
+    assert searches > 0
 
 
 def test_projectivity_of_every_output(demo_lexicon, demo_kb, permissive_kb):
     for kb in (demo_kb, permissive_kb):
         for _want, tokens in corpus_cases():
             system, _, trees = pt.run_parse(demo_lexicon, kb, list(tokens), seed=1)
-            positions = sorted(system.shared["stats"]["spawned_positions"])
+            positions = range(1, pt._scanner_state(system).spawned + 1)
             for t in trees:
                 assert is_projective(t, positions)
 
 
 def test_scan_accounting_balances(demo_lexicon, demo_kb):
-    for _want, tokens in corpus_cases():
-        system, net, _ = pt.run_parse(demo_lexicon, demo_kb, list(tokens), seed=6)
-        stats = system.shared["stats"]
-        scans = sum(1 for e in net.events
-                    if e.key == pt.SCAN_NEXT and net.name_of(e.target) == "scanner")
-        assert scans == (1 + stats["deferrals"] + stats["first_word_starts"]
-                         + stats["ledger_closes"] + stats["final_root_starts"]
-                         + stats["lenient_skips"])
-        assert stats["spawning_deliveries"] == len(tokens)
+    # each term of the scanNext prediction in check_invariants, read off the
+    # final states, against the scanNext events grouped by their cause's key
+    runs = [(tokens, False) for _want, tokens in corpus_cases()]
+    runs += [("zzz Compaq entwickelt zzz".split(), True), (DEMO_SENTENCE, False)]
+    for tokens, lenient in runs:
+        system, net, _ = pt.run_parse(demo_lexicon, demo_kb, list(tokens), seed=6,
+                                      lenient=lenient)
+        by_cause = Counter(net.events[min(e.causes)].key if e.causes else None
+                           for e in net.events if e.key == pt.SCAN_NEXT)
+        scanner = pt._scanner_state(system)
+        words = [a.state for a in pt._word_actors(system)]
+        born = [w for w in words if w.origin_of is None]
+        predicted = Counter({
+            None: 1,
+            pt.SCAN_NEXT: (sum(w.deferred or w.position == 1 for w in born)
+                           + scanner.cursor - scanner.spawned),
+            pt.RECEIPT: sum(ledger.closed for w in words for ledger in w.episodes.values()),
+            pt.HEAD_ACCEPTED: sum(len(w.searches_launched - w.episodes.keys())
+                                  for w in born if w.deferred),
+        })
+        assert +by_cause == +predicted, tokens
+        assert sorted({w.position for w in born}) == list(range(1, scanner.spawned + 1))
+        assert scanner.spawned == len(tokens) - tokens.count("zzz")
+        assert pt.check_invariants(system, net, ETN) == []
+
+
+def test_check_invariants_reports_an_extra_scan_next(monkeypatch, demo_lexicon, demo_kb):
+    extra = []
+
+    def scan_once_more(ctx, env):
+        pt.on_scan_next(ctx, env)
+        if ctx.state.cursor == len(ctx.state.tokens) and not extra:
+            extra.append(ctx.actor_id)
+            ctx.send(ctx.actor_id, pt.SCAN_NEXT)
+
+    variant = dataclasses.replace(pt.scanner_behavior(),
+                                  handlers={pt.SCAN_NEXT: scan_once_more})
+    monkeypatch.setattr(pt, "scanner_behavior", lambda: variant)
+    system, net, trees = pt.run_parse(demo_lexicon, demo_kb, DEMO_SENTENCE)
+    assert extra and len(trees) == 1
+    scans = sum(1 for e in net.events if e.key == pt.SCAN_NEXT)
+    assert pt.check_invariants(system, net, ETN) == [
+        f"scanNext accounting: {scans} events, predicted {scans - 1}"]
+
+
+def test_check_invariants_reports_a_word_outside_the_spawned_positions(demo_lexicon,
+                                                                       demo_kb):
+    system, net, _ = pt.run_parse(demo_lexicon, demo_kb, DEMO_SENTENCE)
+    assert pt.check_invariants(system, net, ETN) == []
+    born = [a.state for a in pt._word_actors(system) if a.state.origin_of is None]
+    max(born, key=lambda w: w.position).position += 1
+    assert "token spawn accounting is off" in pt.check_invariants(system, net, ETN)
 
 
 # -- contract tables ----------------------------------------------------------
@@ -437,7 +500,7 @@ def quiescent_states(draw):
         reg.new_child(draw(st.sampled_from(sorted(reg.parent))))
     tags = sorted(reg.parent)
     n = draw(st.integers(1, 4))
-    system.shared["stats"]["spawned_positions"] = set(range(1, n + 1))
+    pt._scanner_state(system).spawned = n
     first = system._next_actor_id
     count = draw(st.integers(1, 8))
     ids = list(range(first, first + count + 1))     # one id stays unused
@@ -462,7 +525,7 @@ def quiescent_states(draw):
 @given(quiescent_states())
 def test_readout_agrees_with_the_full_scan_on_random_states(system):
     reg = system.shared["readings"]
-    positions = sorted(system.shared["stats"]["spawned_positions"])
+    positions = list(range(1, pt._scanner_state(system).spawned + 1))
     words = pt._word_actors(system)
     want = [_full_scan_materialize(system, reg, words, positions, tag)
             for tag in sorted(reg.parent)]
