@@ -15,6 +15,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from .features import FeatureStructure, render_fs
+
 # Event keys used by the runtime itself rather than by any behavior.
 CREATED = "created"
 INTERNAL_KEYS = frozenset({CREATED})
@@ -42,12 +44,14 @@ class EventNetwork:
 
     def record(self, target: int, key: str, params: dict,
                causes: Iterable[int], state_version: int) -> int:
+        """Append one event and return its id.  The event keeps ``params``
+        itself, not a copy, so the caller must not edit that dict later."""
         event_id = len(self.events)
         cause_set = frozenset(causes)
         for c in cause_set:
             if not (0 <= c < event_id):
                 raise ValueError(f"event {event_id}: cause {c} not yet recorded")
-        self.events.append(Event(event_id, target, key, dict(params), cause_set, state_version))
+        self.events.append(Event(event_id, target, key, params, cause_set, state_version))
         return event_id
 
     def name_of(self, actor_id: int) -> str:
@@ -217,9 +221,60 @@ def validate_trace(net: EventNetwork, etn: EventTypeNetwork) -> list:
 # --------------------------------------------------------------------------
 # Export and comparison.
 
+def _render(value):
+    # runtime imports this module, so its renderer is looked up on use
+    from .runtime import _render_value as render
+    return render(value)
+
+
+def _json_default(value):
+    """What json cannot write itself, by ``runtime._render_value``'s rules:
+    a feature structure as its text, a set as a sorted list, anything else
+    as ``str()``."""
+    if isinstance(value, FeatureStructure):
+        return render_fs(value)
+    return _render(value)
+
+
 # json.dumps(..., sort_keys=True) with every other setting at its default;
 # one shared instance spares building an encoder per line.
 _ENCODER = json.JSONEncoder(sort_keys=True)
+# The same for params, with the hook that renders what json cannot write.
+_PARAMS_ENCODER = json.JSONEncoder(sort_keys=True, default=_json_default)
+
+
+def _json_key(key) -> str:
+    """``key`` as json writes an object key, or its ``str()`` if json
+    refuses it."""
+    if key is None or isinstance(key, (int, float)):
+        return _ENCODER.encode(key)
+    return str(key)
+
+
+def _writable(value):
+    """``value`` with the keys of each dict json refuses (a key that is not
+    a scalar, or keys that cannot be sorted together) turned into text by
+    ``_json_key``; every other dict and every value stays as it is."""
+    if isinstance(value, (list, tuple)):
+        return [_writable(v) for v in value]
+    if not isinstance(value, dict):
+        return value
+    value = {k: _writable(v) for k, v in value.items()}
+    try:
+        _ENCODER.encode(dict.fromkeys(value, 0))
+    except TypeError:
+        return {k if isinstance(k, str) else _json_key(k): v for k, v in value.items()}
+    return value
+
+
+def _json_params(params) -> str:
+    """``params`` as JSON, rendered during the encoding itself.  If json
+    refuses the keys of some dict in them, that one event is encoded again
+    with those keys written as text."""
+    try:
+        return _PARAMS_ENCODER.encode(params)
+    except TypeError:
+        return _PARAMS_ENCODER.encode(_writable(params))
 
 
 def _json_int(value) -> str:
@@ -228,13 +283,14 @@ def _json_int(value) -> str:
 
 
 def _events_jsonl(net: EventNetwork) -> str:
-    # Each line equals json.dumps of the six-field record with sorted keys;
-    # the skeleton is written here in that key order.
+    # Each line equals json.dumps of the six-field record with sorted keys,
+    # its params written by _json_params; the skeleton is written here in
+    # that key order.
     encode = _ENCODER.encode
     lines = [
         f'{{"causes": [{", ".join(map(_json_int, sorted(e.causes)))}], '
         f'"id": {_json_int(e.event_id)}, "key": {encode(e.key)}, '
-        f'"params": {encode(e.params)}, '
+        f'"params": {_json_params(e.params)}, '
         f'"stateVersion": {_json_int(e.state_version)}, '
         f'"target": {_json_int(e.target)}}}\n'
         for e in net.events

@@ -66,6 +66,8 @@ class WordClassDef:
     parent: Optional[str] = None
     default_features: FeatureStructure = EMPTY
     valencies: list = field(default_factory=list)
+    # source line of the definition, for diagnostics; None if built in code
+    line: Optional[int] = field(default=None, compare=False)
 
 
 @dataclass
@@ -74,6 +76,7 @@ class LexemeEntry:
     word_class: str
     feature_overrides: FeatureStructure = EMPTY
     concept: Optional[str] = None
+    line: Optional[int] = field(default=None, compare=False)
 
 
 @dataclass
@@ -142,6 +145,13 @@ def _parse_valency(r: TokenReader, owner: str) -> ValencyDef:
                       fields["dir"], fields["necessity"], fields["role"])
 
 
+def _line_and_column(source: str, offset: int) -> tuple:
+    """The 1-based line and column of ``offset`` in ``source``."""
+    # the sentinel ends the text on the line holding the offset, never on a break
+    lines = (source[:offset] + "x").splitlines()
+    return len(lines), len(lines[-1])
+
+
 def load_lexicon(source: str) -> Lexicon:
     """Parse lexicon text.  Parsing only; cross-references are checked later."""
     lex = Lexicon()
@@ -151,6 +161,7 @@ def load_lexicon(source: str) -> Lexicon:
             form = r.peek()
             if form not in ("wordclass", "lexeme"):
                 raise r.error(f"unknown top-level form {form!r}")
+            line = _line_and_column(source, r.offset())[0]
             r.next()
             if form == "wordclass":
                 if r.peek() in lex.word_classes:
@@ -160,7 +171,7 @@ def load_lexicon(source: str) -> Lexicon:
                 if r.peek() == ":":
                     r.next()
                     parent = r.name()
-                wc = WordClassDef(name, parent)
+                wc = WordClassDef(name, parent, line=line)
                 for key in _clauses(r, ("features", "valency"), f"wordclass {name!r}",
                                     repeatable=("valency",)):
                     if key == "features":
@@ -178,7 +189,7 @@ def load_lexicon(source: str) -> Lexicon:
                     raise r.error(f"lexeme surface must be quoted, found {r.found()}")
                 surface = r.next()[1:-1]
                 r.expect(":")
-                entry = LexemeEntry(surface, r.name())
+                entry = LexemeEntry(surface, r.name(), line=line)
                 for key in _clauses(r, ("features", "concept"), f"lexeme {surface!r}"):
                     if key == "features":
                         entry.feature_overrides = r.structure()
@@ -188,9 +199,8 @@ def load_lexicon(source: str) -> Lexicon:
                     entry.concept = None if value == "none" else value
                 lex.lexemes.setdefault(surface, []).append(entry)
     except FSSyntaxError as err:
-        # the sentinel ends the text on the line holding the error, never on a break
-        lines = (source[:err.position] + "x").splitlines()
-        raise LexiconError(f"line {len(lines)}, column {len(lines[-1])}: {err.message}") from None
+        line, column = _line_and_column(source, err.position)
+        raise LexiconError(f"line {line}, column {column}: {err.message}") from None
     return lex
 
 
@@ -278,44 +288,57 @@ def subclass_of(lex: Lexicon, sub: str, super_: str) -> bool:
     return False
 
 
+def _at(definition, message: str) -> str:
+    """``message`` prefixed with the source line of ``definition``, if known."""
+    return message if definition.line is None else f"line {definition.line}: {message}"
+
+
 def validate_lexicon(lex: Lexicon, kb: ConceptTaxonomy) -> list:
-    """Collect every broken invariant; an empty list means the lexicon is usable."""
+    """Collect every broken invariant; an empty list means the lexicon is usable.
+
+    Each diagnostic of a loaded lexicon starts with ``line L:``, the line of
+    the word class or lexeme it concerns."""
     diagnostics = []
 
     for name, wc in lex.word_classes.items():
         if wc.parent is not None and wc.parent not in lex.word_classes:
-            diagnostics.append(f"word class {name!r}: unresolved parent {wc.parent!r}")
+            diagnostics.append(_at(wc, f"word class {name!r}: unresolved parent {wc.parent!r}"))
             continue
         try:
             _ancestry(lex, name)
         except _InheritanceCycle as err:
-            diagnostics.append(f"word class {name!r}: inheritance cycle through {err.node!r}")
+            diagnostics.append(
+                _at(wc, f"word class {name!r}: inheritance cycle through {err.node!r}"))
         except LexiconError:
             pass  # a dangling parent further up, reported at the class naming it
 
     for name, wc in lex.word_classes.items():
         for v in wc.valencies:
             if v.modifier_word_class not in lex.word_classes:
-                diagnostics.append(
-                    f"valency {v.name!r} of {name!r}: unresolved class {v.modifier_word_class!r}")
+                diagnostics.append(_at(
+                    wc, f"valency {v.name!r} of {name!r}: "
+                        f"unresolved class {v.modifier_word_class!r}"))
             if v.conceptual_role is not None and v.conceptual_role not in kb.roles:
-                diagnostics.append(
-                    f"valency {v.name!r} of {name!r}: unresolved role {v.conceptual_role!r}")
+                diagnostics.append(_at(
+                    wc, f"valency {v.name!r} of {name!r}: "
+                        f"unresolved role {v.conceptual_role!r}"))
 
     for surface, entries in lex.lexemes.items():
         for entry in entries:
             if entry.word_class not in lex.word_classes:
-                diagnostics.append(f"lexeme {surface!r}: unresolved word class {entry.word_class!r}")
+                diagnostics.append(_at(
+                    entry, f"lexeme {surface!r}: unresolved word class {entry.word_class!r}"))
                 continue
             if entry.concept is not None and entry.concept not in kb.concepts:
-                diagnostics.append(f"lexeme {surface!r}: unresolved concept {entry.concept!r}")
+                diagnostics.append(_at(
+                    entry, f"lexeme {surface!r}: unresolved concept {entry.concept!r}"))
             try:
                 chain = _ancestry(lex, entry.word_class)
             except LexiconError:
                 continue  # already reported above
             inherited, _ = _inherit(chain)
             if unify(inherited, entry.feature_overrides) is None:
-                diagnostics.append(
-                    f"lexeme {surface!r}: overrides do not unify with inherited features")
+                diagnostics.append(_at(
+                    entry, f"lexeme {surface!r}: overrides do not unify with inherited features"))
 
     return diagnostics

@@ -7,7 +7,9 @@ principle yet exactly reproducible per seed.  Delivering one envelope runs,
 atomically: the receiving behavior's pre-distribution rule (which may
 forward copies of the message), the handler itself (the computation), and
 the post-distribution rule.  Every arrival is recorded as one event whose
-causes are the events that posted the message.
+causes are the events that posted the message.  The event keeps the params
+as they were delivered, plus the initiator; nothing is rendered during
+delivery.  The JSONL export renders them when it writes the trace.
 
 Messages here are plain envelope values rather than actors in their own
 right; the distribution hooks preserve the observable effect (forwarding
@@ -163,6 +165,14 @@ class Context:
         return self.system.shared
 
     def send(self, target: int, key: str, initiator: Optional[int] = None, **params) -> None:
+        """Post ``key`` with ``params`` to ``target``.
+
+        Params are values: once sent, neither the sender nor any receiver
+        mutates them or anything they hold.  The event of the delivery
+        keeps them unrendered until the trace is exported, so a later edit
+        would change the recorded trace.  Build a fresh dict or list to
+        send an edited version, as the relay does.
+        """
         self.system._emit(self.actor, target, key, params, initiator)
 
     def spawn(self, behavior_name: str, display_name: str, state: ActorState) -> int:
@@ -302,10 +312,10 @@ class System:
                 f"behavior {behavior.name!r} has no handler for key {envelope.key!r}")
 
         causes = [cause] if cause is not None else []
-        rendered = _render_value(envelope.params)
+        params = dict(envelope.params)
         if envelope.initiator is not None:
-            rendered["initiator"] = envelope.initiator
-        event_id = self.net.record(target, envelope.key, rendered, causes, actor.state_version)
+            params["initiator"] = envelope.initiator
+        event_id = self.net.record(target, envelope.key, params, causes, actor.state_version)
 
         self._current_event = event_id
         self._current_allowed = behavior.allowed_keys(envelope.key)

@@ -147,6 +147,13 @@ def test_validate_reports_diagnostics(tmp_path, capsys):
     assert "unresolved parent 'ghost'" in capsys.readouterr().out
 
 
+def test_validate_names_the_line_of_each_diagnostic(tmp_path, capsys):
+    bad = tmp_path / "bad.lex"
+    bad.write_text("wordclass a { }\n\nwordclass b : zzz {\n}\n")
+    assert cli.main(["validate", "--lexicon", str(bad)]) == 1
+    assert capsys.readouterr().out == "line 3: word class 'b': unresolved parent 'zzz'\n"
+
+
 def test_parse_refuses_a_broken_lexicon(tmp_path, capsys):
     bad = tmp_path / "bad.lex"
     bad.write_text("wordclass a : ghost { }\n")

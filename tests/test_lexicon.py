@@ -186,6 +186,30 @@ def test_conflicting_lexeme_override_is_diagnosed(demo_kb):
     assert any("overrides do not unify" in d for d in validate_lexicon(lex, demo_kb))
 
 
+def test_diagnostics_name_the_line_of_their_definition(demo_kb):
+    source = ("# header\n"
+              "wordclass a {\n"
+              "  valency v { class: ghost  dir: right\r\n necessity: optional }\n"
+              "}\n"
+              "wordclass b : zzz {\n"
+              "}\n"
+              "\n"
+              'lexeme "w" : a { concept: bogus }\n'
+              'lexeme "x" : nowhere { }')
+    assert validate_lexicon(load_lexicon(source), demo_kb) == [
+        "line 6: word class 'b': unresolved parent 'zzz'",
+        "line 2: valency 'v' of 'a': unresolved class 'ghost'",
+        "line 9: lexeme 'w': unresolved concept 'bogus'",
+        "line 10: lexeme 'x': unresolved word class 'nowhere'",
+    ]
+
+
+def test_source_lines_do_not_take_part_in_equality():
+    text = 'wordclass a { }\nlexeme "w" : a { }'
+    assert load_lexicon(text) == load_lexicon("\n\n" + text)
+    assert load_lexicon(text).word_classes["a"] == WordClassDef("a")
+
+
 # -- one grammar: inputs the loader once read as names -----------------------
 
 @pytest.mark.parametrize("block, column", [

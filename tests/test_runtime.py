@@ -270,6 +270,40 @@ def test_render_value_outside_the_plain_types():
     assert rt._render_value([Opaque(), {Tag("k"): 2.5}]) == ["<opaque>", {"k": "2.5"}]
 
 
+def test_export_writes_hand_made_params():
+    """Events keep params unrendered; the export writes them.  json writes
+    what it can itself (a float as a number, a None key as "null", int keys
+    in numeric order); a feature structure becomes its text, a set a sorted
+    list, any other object its str().  Only a dict whose keys json refuses
+    (a tuple key, or int and str keys together) has its keys written as
+    text and sorted as text; the rest of that event is written as json
+    writes it."""
+    fs = parse_fs("{case: nom|acc}")
+
+    def starter(ctx, env):
+        ctx.send(ctx.actor_id, "show", fs=fs, pair=(1, "a"), tags={"b", "a"},
+                 opaque=Opaque(), ratio=2.5, nothing={None: [False]}, counts={10: 1, 2: 0})
+        ctx.send(ctx.actor_id, "show", initiator=ctx.actor_id, keyed={("a", 1): fs},
+                 mixed={10: 2.5, 2: None, "a": 0}, counts={10: 1, 2: 0}, ratio=2.5)
+
+    system = rt.System()
+    system.register_behavior(rt.BehaviorDef(
+        name="b",
+        handlers={"ping": starter, "show": lambda ctx, env: None},
+        action_trees={"ping": ev.Send("self", "show"), "show": ev.Seq()}))
+    a = system.spawn("b", "a", rt.ActorState())
+    system.kick(a, "ping")
+    net = system.run_to_quiescence()
+    shown = sorted(line[line.index('"params": ') + 10:line.rindex(', "stateVersion": ')]
+                   for line in ev.export(net, "jsonl").splitlines() if '"key": "show"' in line)
+    assert shown == [
+        '{"counts": {"2": 0, "10": 1}, "fs": "{case: acc|nom}", "nothing": {"null": [false]}, '
+        '"opaque": "<opaque>", "pair": [1, "a"], "ratio": 2.5, "tags": ["a", "b"]}',
+        '{"counts": {"2": 0, "10": 1}, "initiator": 1, "keyed": {"(\'a\', 1)": "{case: acc|nom}"}, '
+        '"mixed": {"10": 2.5, "2": null, "a": 0}, "ratio": 2.5}',
+    ]
+
+
 def test_state_version_is_recorded_before_processing():
     system = fresh_system()
     a = system.spawn("counter", "a", CounterState())

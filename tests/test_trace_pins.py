@@ -9,6 +9,7 @@ CHANGES.md.
 """
 
 import hashlib
+import json
 from collections import Counter
 
 import pytest
@@ -17,6 +18,7 @@ from helpers import DEMO_SENTENCE, corpus_cases
 
 from wordactors import events as ev
 from wordactors import protocol as pt
+from wordactors import runtime as rt
 from wordactors.oracle import oracle_parse
 
 PP = "mit einer Harddisk".split()
@@ -52,9 +54,11 @@ def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("tokens, kb, mode, seed, jsonl_sha, dot_sha", PINS,
-                         ids=["demo-sequential", "demo-parallel", "ppchain3-parallel",
-                              "deepchain3-sequential", "demo-permissive-sequential"])
+PIN_IDS = ["demo-sequential", "demo-parallel", "ppchain3-parallel",
+           "deepchain3-sequential", "demo-permissive-sequential"]
+
+
+@pytest.mark.parametrize("tokens, kb, mode, seed, jsonl_sha, dot_sha", PINS, ids=PIN_IDS)
 def test_export_bytes_are_pinned(request, demo_lexicon, tokens, kb, mode, seed,
                                  jsonl_sha, dot_sha):
     kb = request.getfixturevalue(kb)
@@ -90,3 +94,67 @@ def test_sweep_exports_are_pinned(demo_lexicon, demo_kb, permissive_kb):
                 digest.update(ev.export(net, "jsonl").encode())
                 digest.update(ev.export(net, "dot").encode())
     assert digest.hexdigest() == SWEEP_SHA
+
+
+# Events keep their params unrendered until export, so the export shows a
+# params value as it is at the end of the run.  Each delivery's params,
+# rendered the moment they are delivered, must equal the exported ones: a
+# handler that mutates a sent or received value, or an encoder that writes
+# protocol traffic differently from ``_render_value``, fails here.
+# The pins hold a splitting ppchain run in parallel mode; one in sequential
+# mode is added.
+SNAPSHOT_RUNS = [pin[:4] for pin in PINS] + [(PP3, "demo_kb", "sequential", 0)]
+
+
+@pytest.mark.parametrize("tokens, kb, mode, seed", SNAPSHOT_RUNS,
+                         ids=PIN_IDS + ["ppchain3-sequential"])
+def test_exported_params_equal_their_delivery_snapshots(request, monkeypatch, demo_lexicon,
+                                                        tokens, kb, mode, seed):
+    snapshots = {}
+    execute = rt.System._execute
+
+    def snapshot_then_execute(system, target, envelope, cause):
+        params = dict(envelope.params)
+        if envelope.initiator is not None:
+            params["initiator"] = envelope.initiator
+        # _execute records the event first, so it gets the next id
+        snapshots[len(system.net.events)] = json.dumps(rt._render_value(params),
+                                                       sort_keys=True)
+        return execute(system, target, envelope, cause)
+
+    monkeypatch.setattr(rt.System, "_execute", snapshot_then_execute)
+    system, net, _trees = pt.run_parse(demo_lexicon, request.getfixturevalue(kb),
+                                       list(tokens), seed=seed, mode=mode)
+    delivered = [e.event_id for e in net.events if e.key != "created"]
+    assert sorted(snapshots) == delivered
+    if tokens is PP3:
+        assert len(system.shared["readings"].parent) > 1   # the run splits
+    for event_id, line in enumerate(ev.export(net, "jsonl").splitlines()):
+        if event_id in snapshots:
+            start = line.index('"params": ') + len('"params": ')
+            end = line.rindex(', "stateVersion": ')
+            assert line[start:end] == snapshots[event_id], event_id
+
+
+def test_delivery_renders_nothing(monkeypatch, demo_lexicon, demo_kb):
+    """Rendering happens at export; a parse without a request log calls no
+    renderer.  The same run with the log on shows that the count works."""
+    def calls_during_run(log_requests):
+        calls = []
+        render = rt._render_value
+
+        def counting(value):
+            calls.append(1)
+            return render(value)
+
+        system, scanner = pt.build_system(demo_lexicon, demo_kb, list(PP3), seed=0,
+                                          mode="parallel", log_requests=log_requests)
+        system.kick(scanner, pt.SCAN_NEXT)
+        with monkeypatch.context() as patch:
+            patch.setattr(rt, "_render_value", counting)
+            system.run_to_quiescence()
+        assert len(system.shared["readings"].parent) > 1   # the run splits
+        return len(calls)
+
+    assert calls_during_run(log_requests=False) == 0
+    assert calls_during_run(log_requests=True) > 0
