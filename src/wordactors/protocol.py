@@ -71,9 +71,6 @@ class ReadingRegistry:
     def ancestors_or_self(self, tag: int) -> frozenset:
         return self._anc[tag]
 
-    def visible(self, entry_tag: int, context: int) -> bool:
-        return entry_tag in self._anc[context]
-
     def depth(self, tag: int) -> int:
         return len(self._anc[tag])
 
@@ -170,31 +167,40 @@ def _registry(ctx) -> ReadingRegistry:
 
 
 def _slot_is_free(slot, reg, context):
-    return not any(reg.visible(f.reading, context) for f in slot.fills)
+    seen = reg.ancestors_or_self(context)
+    for f in slot.fills:
+        if f.reading in seen:
+            return False
+    return True
 
 
 def _visible_fills(state, reg, context):
+    seen = reg.ancestors_or_self(context)
     out = []
     for slot in state.slots:
         for f in slot.fills:
-            if reg.visible(f.reading, context):
+            if f.reading in seen:
                 out.append((slot.spec.name, f))
     return out
 
 
 def _governing_link(state, reg, context) -> Optional[HeadLink]:
+    seen = reg.ancestors_or_self(context)
     best = None
     for link in state.head_links:
-        if reg.visible(link.reading, context):
+        if link.reading in seen:
             if best is None or reg.depth(link.reading) > reg.depth(best.reading):
                 best = link
     return best
 
 
 def _mandatory_right_open(state, reg, context) -> bool:
-    return any(s.spec.necessity == lx.MANDATORY and s.spec.direction == lx.RIGHT
-               and _slot_is_free(s, reg, context)
-               for s in state.slots)
+    for s in state.slots:
+        spec = s.spec
+        if (spec.necessity == lx.MANDATORY and spec.direction == lx.RIGHT
+                and _slot_is_free(s, reg, context)):
+            return True
+    return False
 
 
 def _effective_concept(state, reg, context):
@@ -202,9 +208,10 @@ def _effective_concept(state, reg, context):
     concept of its own borrows the first one among its filled valencies."""
     if state.concept:
         return state.concept
+    seen = reg.ancestors_or_self(context)
     for slot in state.slots:
         for f in slot.fills:
-            if reg.visible(f.reading, context) and f.concept:
+            if f.reading in seen and f.concept:
                 return f.concept
     return None
 
@@ -233,15 +240,16 @@ def _profile(state, reg, context) -> dict:
     }
 
 
-def _admits(ctx, spec, head_concept, mod_class, mod_features, mod_concept):
-    """The three non-directional valency checks: word class, morphology,
+def _admits(ctx, word_class, features, role, head_concept,
+            mod_class, mod_features, mod_concept):
+    """The three non-directional checks of a valency, given by its word
+    class, features and role, against a modifier: word class, morphology,
     conceptual role.  Returns the unified morphology, or None."""
-    if not ctx.request("subclass_of", mod_class, spec["word_class"]):
+    if not ctx.request("subclass_of", mod_class, word_class):
         return None
-    merged = ctx.request("unify", spec["features"], mod_features)
+    merged = ctx.request("unify", features, mod_features)
     if merged is None:
         return None
-    role = spec.get("role")
     if role:
         if head_concept is None or mod_concept is None:
             return None
@@ -315,7 +323,9 @@ def on_search_head(ctx, env):
         for slot in state.slots:
             if slot.spec.direction != lx.RIGHT or not _slot_is_free(slot, reg, context):
                 continue
-            merged = _admits(ctx, _spec_view(slot.spec), own_concept,
+            spec = slot.spec
+            merged = _admits(ctx, spec.modifier_word_class, spec.morph_constraint,
+                             spec.conceptual_role, own_concept,
                              profile["word_class"], profile["features"],
                              profile["concept"])
             if merged is None:
@@ -342,8 +352,9 @@ def on_search_head(ctx, env):
             and state.right_edge == profile["left_edge"] - 1):
         own_concept = _effective_concept(state, reg, context)
         for spec in profile["left_slots"]:
-            merged = _admits(ctx, spec, profile["concept"],
-                             state.word_class, state.features, own_concept)
+            merged = _admits(ctx, spec["word_class"], spec["features"], spec["role"],
+                             profile["concept"], state.word_class, state.features,
+                             own_concept)
             if merged is None:
                 continue
             state.pending_application = HeldReceipt(
@@ -458,7 +469,9 @@ def _on_application(ctx, env):
         for slot in state.slots:
             if slot.spec.direction != lx.LEFT or not _slot_is_free(slot, reg, context):
                 continue
-            merged = _admits(ctx, _spec_view(slot.spec), own_concept,
+            spec = slot.spec
+            merged = _admits(ctx, spec.modifier_word_class, spec.morph_constraint,
+                             spec.conceptual_role, own_concept,
                              ap["word_class"], ap["features"], ap["concept"])
             if merged is not None:
                 chosen = slot
@@ -977,12 +990,15 @@ def _assert_on_fringe(ctx, profile):
     reg = _registry(ctx)
     context = profile["reading"]
     border = profile["left_edge"] - 1
+    seen = reg.ancestors_or_self(context)
     own = ctx.state
-    if own.right_edge == border and reg.visible(own.reading, context):
+    if own.right_edge == border and own.reading in seen:
         return      # the bordering word itself, where its head chain starts
-    for a in _word_actors(ctx.system):
+    for a in ctx.system.actors.values():
+        if a.behavior.name != "word":
+            continue
         st = a.state
-        if st.right_edge != border or st.reading not in reg.ancestors_or_self(context):
+        if st.right_edge != border or st.reading not in seen:
             continue
         node, hops = a, set()
         while node is not None and node.actor_id not in hops:

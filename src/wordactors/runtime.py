@@ -145,24 +145,24 @@ def _render_value(value: Any):
 
 
 class Context:
-    """Handler-side view of the system during one computation event."""
+    """Handler-side view of the system during one computation event.
 
-    def __init__(self, system: "System", actor: Actor, envelope: MessageEnvelope):
+    Its fields are fixed when the delivery starts: ``actor_id`` is the
+    receiver's id, ``state`` the receiving actor's own state object (a
+    handler changes it in place), ``shared`` the system's shared knowledge,
+    and ``request`` the system's service call.  A context kept past its
+    delivery can neither send nor request.
+    """
+
+    __slots__ = ("system", "actor", "actor_id", "state", "shared", "request")
+
+    def __init__(self, system: "System", actor: Actor):
         self.system = system
         self.actor = actor
-        self.envelope = envelope
-
-    @property
-    def actor_id(self) -> int:
-        return self.actor.actor_id
-
-    @property
-    def state(self):
-        return self.actor.state
-
-    @property
-    def shared(self) -> dict:
-        return self.system.shared
+        self.actor_id = actor.actor_id
+        self.state = actor.state
+        self.shared = system.shared
+        self.request = system.request
 
     def send(self, target: int, key: str, initiator: Optional[int] = None, **params) -> None:
         """Post ``key`` with ``params`` to ``target``.
@@ -173,16 +173,21 @@ class Context:
         would change the recorded trace.  Build a fresh dict or list to
         send an edited version, as the relay does.
         """
-        self.system._emit(self.actor, target, key, params, initiator)
+        system = self.system
+        event = system._current_event
+        if event is None:
+            raise ContractViolation("messages can only be sent from inside a computation event")
+        if key not in system._current_allowed:
+            raise ContractViolation(
+                f"behavior {self.actor.behavior.name!r} emitted undeclared key {key!r} "
+                f"while handling {system.net.events[event].key!r}")
+        system.post(target, key, params, initiator, event)
 
     def spawn(self, behavior_name: str, display_name: str, state: ActorState) -> int:
         return self.system.spawn(behavior_name, display_name, state)
 
     def bump(self) -> None:
         self.actor.state_version += 1
-
-    def request(self, service: str, *args):
-        return self.system.request(service, *args)
 
 
 class System:
@@ -231,7 +236,7 @@ class System:
         actor = Actor(actor_id, self.behaviors[behavior_name], state, display_name)
         self.actors[actor_id] = actor
         self.net.register_actor(actor_id, display_name)
-        causes = [self._current_event] if self._current_event is not None else []
+        causes = (self._current_event,) if self._current_event is not None else ()
         self.net.record(actor_id, ev.CREATED, {"behavior": behavior_name}, causes, 0)
         return actor_id
 
@@ -243,16 +248,6 @@ class System:
         env = MessageEnvelope(key, params or {}, initiator)
         self.scheduler.pending.append((target, env, cause))
         self.scheduler.posted_count += 1
-
-    def _emit(self, actor: Actor, target: int, key: str, params: dict,
-              initiator: Optional[int]) -> None:
-        if self._current_event is None:
-            raise ContractViolation("messages can only be sent from inside a computation event")
-        if self._current_allowed is not None and key not in self._current_allowed:
-            raise ContractViolation(
-                f"behavior {actor.behavior.name!r} emitted undeclared key {key!r} "
-                f"while handling {self.net.events[self._current_event].key!r}")
-        self.post(target, key, params, initiator=initiator, cause=self._current_event)
 
     def request(self, service: str, *args):
         """Synchronous call to a pure service, legal only inside an event."""
@@ -267,9 +262,6 @@ class System:
         return result
 
     # -- scheduling -------------------------------------------------------
-
-    def _pick_index(self) -> int:
-        return self._rng.randrange(len(self.scheduler.pending))
 
     def _fill_batch(self) -> None:
         """Parallel mode: snapshot one round of deliveries to distinct actors."""
@@ -298,9 +290,10 @@ class System:
                 self._fill_batch()
             target, envelope, cause = self._batch.pop()
         else:
-            if not self.scheduler.pending:
+            pending = self.scheduler.pending
+            if not pending:
                 return None
-            target, envelope, cause = self.scheduler.pending.pop(self._pick_index())
+            target, envelope, cause = pending.pop(self._rng.randrange(len(pending)))
         return self._execute(target, envelope, cause)
 
     def _execute(self, target: int, envelope: MessageEnvelope, cause: Optional[int]) -> ev.Event:
@@ -311,7 +304,7 @@ class System:
             raise ContractViolation(
                 f"behavior {behavior.name!r} has no handler for key {envelope.key!r}")
 
-        causes = [cause] if cause is not None else []
+        causes = (cause,) if cause is not None else ()
         params = dict(envelope.params)
         if envelope.initiator is not None:
             params["initiator"] = envelope.initiator
@@ -319,7 +312,7 @@ class System:
 
         self._current_event = event_id
         self._current_allowed = behavior.allowed_keys(envelope.key)
-        ctx = Context(self, actor, envelope)
+        ctx = Context(self, actor)
         try:
             pre = behavior.pre_distribution.get(envelope.key)
             if pre is not None:

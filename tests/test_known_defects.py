@@ -44,3 +44,12 @@ def test_f3_fringe_check_passes_a_correct_run(demo_lexicon, demo_kb):
     tokens = BASE + PP
     _system, _net, trees = pt.run_parse(demo_lexicon, demo_kb, tokens, seed=183)
     assert _readings(trees) == _readings(oracle_parse(demo_lexicon, demo_kb, tokens))
+
+
+@pytest.mark.xfail(strict=True, raises=rt.HandlerFailure,
+                   reason="F4: a case clash between a determiner and a governing "
+                          "valency crashes the parser")
+def test_f4_determiner_case_clash_reads_like_the_oracle(demo_lexicon, demo_kb):
+    tokens = "Compaq liefert einer Harddisk".split()
+    _system, _net, trees = pt.run_parse(demo_lexicon, demo_kb, tokens, seed=0)
+    assert _readings(trees) == _readings(oracle_parse(demo_lexicon, demo_kb, tokens))

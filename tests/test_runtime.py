@@ -87,6 +87,48 @@ def test_post_to_unknown_target():
         system.post(42, "ping")
 
 
+def test_send_to_unknown_actor_from_a_handler():
+    def stray(ctx, env):
+        ctx.send(42, "ping")
+
+    system = rt.System()
+    system.register_behavior(rt.BehaviorDef(
+        name="stray", handlers={"ping": stray},
+        action_trees={"ping": ev.Send("nobody", "ping")}))
+    a = system.spawn("stray", "a", rt.ActorState())
+    system.kick(a, "ping")
+    with pytest.raises(rt.ContractViolation, match="unknown actor 42"):
+        system.run_to_quiescence()
+
+
+def _kept_context():
+    """A context a handler kept past the end of its delivery."""
+    kept = []
+    system = rt.System()
+    system.register_service("double", lambda x: 2 * x)
+    system.register_behavior(rt.BehaviorDef(
+        name="keeper", handlers={"ping": lambda ctx, env: kept.append(ctx)},
+        action_trees={"ping": ev.Send("self", "ping")}))
+    a = system.spawn("keeper", "a", rt.ActorState())
+    system.kick(a, "ping")
+    system.run_to_quiescence()
+    return kept[0], a
+
+
+def test_a_kept_context_cannot_send():
+    ctx, a = _kept_context()
+    with pytest.raises(rt.ContractViolation,
+                       match="messages can only be sent from inside a computation event"):
+        ctx.send(a, "ping")
+    assert not ctx.system.scheduler.pending
+
+
+def test_a_kept_context_cannot_request():
+    ctx, _a = _kept_context()
+    with pytest.raises(rt.ContractViolation, match="outside a computation event"):
+        ctx.request("double", 3)
+
+
 def test_delivery_order_is_scheduler_chosen():
     first_delivered = set()
     for seed in range(20):
