@@ -10,6 +10,7 @@ Exit codes for ``parse``: 0 with at least one reading, 2 with none, 1 on
 any error.  The other commands exit 0 on success and 1 otherwise.  A usage
 error (unknown option, malformed value, a negative ``--seeds`` or a
 ``--steps`` below 1) is an error too and exits 1; ``--help`` exits 0.
+A ``parse`` whose run fails still writes ``--trace`` and ``--dot``.
 Output is byte-stable for identical inputs in sequential mode.
 """
 
@@ -75,13 +76,20 @@ def cmd_parse(args) -> int:
         tokens = sys.stdin.read().split()
     else:
         tokens = list(args.sentence)
-    system, net, trees = pt.run_parse(
+    system, scanner = pt.build_system(
         lex, kb, tokens, seed=args.seed, mode=args.mode,
         step_ceiling=args.steps, lenient=args.lenient)
-    if args.trace:
-        Path(args.trace).write_text(ev.export(net, "jsonl"))
-    if args.dot:
-        Path(args.dot).write_text(ev.export(net, "dot"))
+    # run_parse's steps, so that a run that raises still leaves its trace,
+    # up to and including the failing delivery
+    try:
+        system.kick(scanner, pt.SCAN_NEXT)
+        system.run_to_quiescence()
+        trees = pt.read_out_trees(system)
+    finally:
+        if args.trace:
+            Path(args.trace).write_text(ev.export(system.net, "jsonl"))
+        if args.dot:
+            Path(args.dot).write_text(ev.export(system.net, "dot"))
     trees = sorted(trees, key=lambda t: t.canonical())
     for i, tree in enumerate(trees, start=1):
         if i > 1:

@@ -236,11 +236,16 @@ def _json_default(value):
     return _render(value)
 
 
-# json.dumps(..., sort_keys=True) with every other setting at its default;
-# one shared instance spares building an encoder per line.
+# json.dumps(..., sort_keys=True) with every other setting at its default.
+# Its encode writes a str without building an encoder, but builds a new one
+# for every other value, so the lines of an export write params through
+# _params_writer instead.
 _ENCODER = json.JSONEncoder(sort_keys=True)
 # The same for params, with the hook that renders what json cannot write.
 _PARAMS_ENCODER = json.JSONEncoder(sort_keys=True, default=_json_default)
+# json's C encoder factory, None on an interpreter without the _json
+# accelerator; _params_writer falls back to _json_params then.
+_c_make_encoder = json.encoder.c_make_encoder
 
 
 def _json_key(key) -> str:
@@ -277,6 +282,30 @@ def _json_params(params) -> str:
         return _PARAMS_ENCODER.encode(_writable(params))
 
 
+def _params_writer():
+    """A function that writes params exactly as ``_json_params`` does, for
+    the lines of one export.  It builds once the C encoder that each
+    ``_PARAMS_ENCODER.encode`` call would build, with the same arguments,
+    and reuses it.  Its ``markers`` dict, the circular-reference record, is
+    state, so each export builds its own writer."""
+    if _c_make_encoder is None:
+        return _json_params
+    markers = {}
+    # markers, default, string encoder, indent, key and item separators,
+    # sort_keys, skipkeys, allow_nan
+    encode = _c_make_encoder(markers, _json_default, json.encoder.encode_basestring_ascii,
+                             None, ": ", ", ", True, False, True)
+
+    def write(params) -> str:
+        try:
+            return "".join(encode(params, 0))
+        except TypeError:
+            # a failed encode leaves the dicts it was inside in markers
+            markers.clear()
+            return _PARAMS_ENCODER.encode(_writable(params))
+    return write
+
+
 def _json_int(value) -> str:
     """``value`` as json.dumps writes it; plain ints skip the encoder."""
     return str(value) if type(value) is int else _ENCODER.encode(value)
@@ -284,13 +313,14 @@ def _json_int(value) -> str:
 
 def _events_jsonl(net: EventNetwork) -> str:
     # Each line equals json.dumps of the six-field record with sorted keys,
-    # its params written by _json_params; the skeleton is written here in
-    # that key order.
+    # its params written as _json_params writes them; the skeleton is
+    # written here in that key order.
     encode = _ENCODER.encode
+    write_params = _params_writer()
     lines = [
         f'{{"causes": [{", ".join(map(_json_int, sorted(e.causes)))}], '
         f'"id": {_json_int(e.event_id)}, "key": {encode(e.key)}, '
-        f'"params": {_json_params(e.params)}, '
+        f'"params": {write_params(e.params)}, '
         f'"stateVersion": {_json_int(e.state_version)}, '
         f'"target": {_json_int(e.target)}}}\n'
         for e in net.events

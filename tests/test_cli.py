@@ -106,6 +106,20 @@ def test_parse_writes_byte_stable_artifacts(tmp_path, capsys):
     assert "digraph events" in d1.read_text()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--steps", "3", "Compaq", "liefert", "einen", "Rechner"], "step ceiling 3 exceeded"),
+    (["Compaq", "liefert", "einen", "Kasten"], "unknown word 'Kasten'"),
+])
+def test_failed_parse_still_writes_its_trace(argv, message, tmp_path, capsys):
+    trace, dot = tmp_path / "t.jsonl", tmp_path / "t.dot"
+    assert cli.main(["parse", "--trace", str(trace), "--dot", str(dot), *argv]) == 1
+    assert message in capsys.readouterr().err
+    ids = [json.loads(line)["id"] for line in trace.read_text().splitlines()]
+    assert ids == list(range(len(ids))) and len(ids) > 1
+    text = dot.read_text()
+    assert text.startswith("digraph events {") and f"  e{ids[-1]} [label=" in text
+
+
 def test_etn_prints_the_network(capsys):
     assert cli.main(["etn"]) == 0
     assert capsys.readouterr().out == fixture_text("etn_golden.dot")

@@ -1,5 +1,6 @@
 """Actor runtime: scheduling, determinism, conformance, services."""
 
+import json
 from dataclasses import dataclass, field
 
 import pytest
@@ -328,6 +329,17 @@ def test_export_writes_hand_made_params():
         ctx.send(ctx.actor_id, "show", initiator=ctx.actor_id, keyed={("a", 1): fs},
                  mixed={10: 2.5, 2: None, "a": 0}, counts={10: 1, 2: 0}, ratio=2.5)
 
+    assert _shown_params(_show_run(starter)) == [
+        '{"counts": {"2": 0, "10": 1}, "fs": "{case: acc|nom}", "nothing": {"null": [false]}, '
+        '"opaque": "<opaque>", "pair": [1, "a"], "ratio": 2.5, "tags": ["a", "b"]}',
+        '{"counts": {"2": 0, "10": 1}, "initiator": 1, "keyed": {"(\'a\', 1)": "{case: acc|nom}"}, '
+        '"mixed": {"10": 2.5, "2": null, "a": 0}, "ratio": 2.5}',
+    ]
+
+
+def _show_run(starter):
+    """The network of one actor whose "ping" handler is ``starter``, which
+    sends it "show" messages."""
     system = rt.System()
     system.register_behavior(rt.BehaviorDef(
         name="b",
@@ -335,15 +347,48 @@ def test_export_writes_hand_made_params():
         action_trees={"ping": ev.Send("self", "show"), "show": ev.Seq()}))
     a = system.spawn("b", "a", rt.ActorState())
     system.kick(a, "ping")
-    net = system.run_to_quiescence()
-    shown = sorted(line[line.index('"params": ') + 10:line.rindex(', "stateVersion": ')]
-                   for line in ev.export(net, "jsonl").splitlines() if '"key": "show"' in line)
-    assert shown == [
-        '{"counts": {"2": 0, "10": 1}, "fs": "{case: acc|nom}", "nothing": {"null": [false]}, '
-        '"opaque": "<opaque>", "pair": [1, "a"], "ratio": 2.5, "tags": ["a", "b"]}',
-        '{"counts": {"2": 0, "10": 1}, "initiator": 1, "keyed": {"(\'a\', 1)": "{case: acc|nom}"}, '
-        '"mixed": {"10": 2.5, "2": null, "a": 0}, "ratio": 2.5}',
+    return system.run_to_quiescence()
+
+
+def _shown_params(net):
+    """The params text of each "show" line of the JSONL export, sorted."""
+    return sorted(line[line.index('"params": ') + 10:line.rindex(', "stateVersion": ')]
+                  for line in ev.export(net, "jsonl").splitlines() if '"key": "show"' in line)
+
+
+def test_export_keeps_no_encoder_state_between_lines(monkeypatch):
+    """One export writes every line through one encoder.  The state that
+    encoder keeps, its record of the dicts it is inside, must not outlive a
+    line: a refused dict sent twice is written the same both times, a
+    params dict that contains itself fails as in json.dumps without
+    touching the next export, and without json's C accelerator the bytes
+    are the same."""
+    refused = {10: 2.5, "a": 0}
+
+    def starter(ctx, env):
+        ctx.send(ctx.actor_id, "show", mixed=refused)
+        ctx.send(ctx.actor_id, "show", mixed=refused, rows=[{"b": [{"c": 1}]}, {"a": None}])
+
+    net = _show_run(starter)
+    text = ev.export(net, "jsonl")
+    assert _shown_params(net) == [
+        '{"mixed": {"10": 2.5, "a": 0}, "rows": [{"b": [{"c": 1}]}, {"a": null}]}',
+        '{"mixed": {"10": 2.5, "a": 0}}',
     ]
+
+    looped = ev.EventNetwork()
+    params = {"n": 1}
+    params["self"] = params
+    looped.record(0, "show", params, (), 0)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        json.dumps(params)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        ev.export(looped, "jsonl")
+    assert ev.export(net, "jsonl") == text
+
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    monkeypatch.setattr(ev, "_c_make_encoder", None)
+    assert ev.export(net, "jsonl") == text
 
 
 def test_state_version_is_recorded_before_processing():

@@ -158,3 +158,34 @@ def test_delivery_renders_nothing(monkeypatch, demo_lexicon, demo_kb):
 
     assert calls_during_run(log_requests=False) == 0
     assert calls_during_run(log_requests=True) > 0
+
+
+@pytest.mark.parametrize("mode", ["sequential", "parallel"])
+def test_export_builds_no_encoder_per_line(monkeypatch, demo_lexicon, demo_kb, mode):
+    """A JSONL export writes every line's params through the one encoder it
+    builds, and a str key takes json's path that builds none, so
+    ``JSONEncoder.iterencode``, which builds an encoder per call, is never
+    called.  Without json's C accelerator each event's params take that
+    path again, which shows that the count works, and the bytes are the
+    same."""
+    _system, net, _trees = pt.run_parse(demo_lexicon, demo_kb, list(DEEP3),
+                                        seed=0, mode=mode)
+
+    def calls_during_export():
+        calls = []
+        iterencode = json.JSONEncoder.iterencode
+
+        def counting(self, o, _one_shot=False):
+            calls.append(1)
+            return iterencode(self, o, _one_shot)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(json.JSONEncoder, "iterencode", counting)
+            text = ev.export(net, "jsonl")
+        return len(calls), text
+
+    count, text = calls_during_export()
+    assert count == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(ev, "_c_make_encoder", None)
+        assert calls_during_export() == (len(net.events), text)
