@@ -10,6 +10,9 @@ Exit codes for ``parse``: 0 with at least one reading, 2 with none, 1 on
 any error.  The other commands exit 0 on success and 1 otherwise.  A usage
 error (unknown option, malformed value, a negative ``--seeds`` or a
 ``--steps`` below 1) is an error too and exits 1; ``--help`` exits 0.
+In ``oracle-compare`` a run that raises (a handler failure, a livelock, an
+aborted parse) prints a ``crash:`` line naming sentence, seed and error,
+counts as a mismatch, and the sweep goes on to the summary line.
 A ``parse`` whose run fails still writes ``--trace`` and ``--dot``.
 Output is byte-stable for identical inputs in sequential mode.
 """
@@ -150,8 +153,13 @@ def cmd_oracle_compare(args) -> int:
                   f"reference finds {sum(reference.values())}")
             mismatches += 1
         for seed in range(args.seeds):
-            _, _, trees = pt.run_parse(lex, kb, tokens, seed=seed, mode=args.mode,
-                                       step_ceiling=args.steps)
+            try:
+                _, _, trees = pt.run_parse(lex, kb, tokens, seed=seed, mode=args.mode,
+                                           step_ceiling=args.steps)
+            except (rt.ContractViolation, rt.LivelockError, rt.HandlerFailure) as exc:
+                print(f"crash: {sentence!r} seed {seed}: {type(exc).__name__}: {exc}")
+                mismatches += 1
+                continue
             actual = Counter(t.canonical() for t in trees)
             if actual != reference:
                 print(f"mismatch: {sentence!r} seed {seed}: actor parser "

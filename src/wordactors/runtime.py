@@ -56,7 +56,7 @@ class LivelockError(RuntimeError):
         self.network = network
 
 
-@dataclass
+@dataclass(slots=True)
 class MessageEnvelope:
     key: str
     params: dict
@@ -107,7 +107,6 @@ class BehaviorDef:
 @dataclass
 class SchedulerState:
     pending: list = field(default_factory=list)  # (target, envelope, cause id or None)
-    posted_count: int = 0
 
 
 class Actor:
@@ -151,18 +150,23 @@ class Context:
     receiver's id, ``state`` the receiving actor's own state object (a
     handler changes it in place), ``shared`` the system's shared knowledge,
     and ``request`` the system's service call.  A context kept past its
-    delivery can neither send nor request.
+    delivery cannot send, neither after the run nor during another
+    delivery.  Its ``request`` is the system's own, so it refuses only
+    outside any delivery.
     """
 
-    __slots__ = ("system", "actor", "actor_id", "state", "shared", "request")
+    __slots__ = ("system", "actor", "actor_id", "state", "shared", "request",
+                 "_event", "_allowed")
 
-    def __init__(self, system: "System", actor: Actor):
+    def __init__(self, system: "System", actor: Actor, event: int, allowed: frozenset):
         self.system = system
         self.actor = actor
         self.actor_id = actor.actor_id
         self.state = actor.state
         self.shared = system.shared
         self.request = system.request
+        self._event = event
+        self._allowed = allowed
 
     def send(self, target: int, key: str, initiator: Optional[int] = None, **params) -> None:
         """Post ``key`` with ``params`` to ``target``.
@@ -174,10 +178,15 @@ class Context:
         send an edited version, as the relay does.
         """
         system = self.system
-        event = system._current_event
-        if event is None:
-            raise ContractViolation("messages can only be sent from inside a computation event")
-        if key not in system._current_allowed:
+        event = self._event
+        if system._current_event != event:
+            if system._current_event is None:
+                raise ContractViolation(
+                    "messages can only be sent from inside a computation event")
+            raise ContractViolation(
+                f"the context of event {event} sent {key!r} during event "
+                f"{system._current_event}; it can only send during its own delivery")
+        if key not in self._allowed:
             raise ContractViolation(
                 f"behavior {self.actor.behavior.name!r} emitted undeclared key {key!r} "
                 f"while handling {system.net.events[event].key!r}")
@@ -210,7 +219,6 @@ class System:
         self.request_log: dict[int, list] = {}
         self._next_actor_id = 1
         self._current_event: Optional[int] = None
-        self._current_allowed: Optional[frozenset] = None
         self._batch: list = []
 
     # -- program definition --------------------------------------------
@@ -247,7 +255,6 @@ class System:
             raise ContractViolation(f"post to unknown actor {target}")
         env = MessageEnvelope(key, params or {}, initiator)
         self.scheduler.pending.append((target, env, cause))
-        self.scheduler.posted_count += 1
 
     def request(self, service: str, *args):
         """Synchronous call to a pure service, legal only inside an event."""
@@ -263,11 +270,24 @@ class System:
 
     # -- scheduling -------------------------------------------------------
 
+    # Both draws below are those of random.Random: randrange(n) and
+    # shuffle() draw through _randbelow_with_getrandbits, which takes
+    # k = n.bit_length() bits until the value is below n.  They are
+    # inlined here to spare the Python calls around each draw; every
+    # schedule, and so every trace, stays the one randrange and shuffle
+    # would give (tests/test_runtime.py checks both against the stdlib).
+
     def _fill_batch(self) -> None:
         """Parallel mode: snapshot one round of deliveries to distinct actors."""
         pending = self.scheduler.pending
         order = list(range(len(pending)))
-        self._rng.shuffle(order)
+        getrandbits = self._rng.getrandbits
+        for i in range(len(order) - 1, 0, -1):   # random.shuffle(order)
+            k = (i + 1).bit_length()
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            order[i], order[j] = order[j], order[i]
         taken_targets = set()
         taken_indices = set()
         batch = []
@@ -293,7 +313,13 @@ class System:
             pending = self.scheduler.pending
             if not pending:
                 return None
-            target, envelope, cause = pending.pop(self._rng.randrange(len(pending)))
+            n = len(pending)   # pending.pop(self._rng.randrange(n))
+            getrandbits = self._rng.getrandbits
+            k = n.bit_length()
+            i = getrandbits(k)
+            while i >= n:
+                i = getrandbits(k)
+            target, envelope, cause = pending.pop(i)
         return self._execute(target, envelope, cause)
 
     def _execute(self, target: int, envelope: MessageEnvelope, cause: Optional[int]) -> ev.Event:
@@ -311,8 +337,7 @@ class System:
         event_id = self.net.record(target, envelope.key, params, causes, actor.state_version)
 
         self._current_event = event_id
-        self._current_allowed = behavior.allowed_keys(envelope.key)
-        ctx = Context(self, actor)
+        ctx = Context(self, actor, event_id, behavior.allowed_keys(envelope.key))
         try:
             pre = behavior.pre_distribution.get(envelope.key)
             if pre is not None:
@@ -329,7 +354,6 @@ class System:
                 f"(actor {actor.display_name}): {err}") from err
         finally:
             self._current_event = None
-            self._current_allowed = None
 
         return self.net.events[event_id]
 

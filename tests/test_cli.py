@@ -199,6 +199,19 @@ def test_oracle_compare_accepts_long_sentences(tmp_path, capsys):
     assert capsys.readouterr().out == "1 sentences, 3 seeds, 0 mismatches\n"
 
 
+def test_oracle_compare_reports_a_crashing_run_and_goes_on(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("Compaq liefert einer Harddisk\n")
+    # three deliveries cannot finish any parse: every run raises
+    assert cli.main(["oracle-compare", str(corpus), "--steps", "3", "--seeds", "2"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 3
+    for seed, line in enumerate(out[:2]):
+        assert line.startswith(f"crash: 'Compaq liefert einer Harddisk' seed {seed}: "
+                               "LivelockError: possible livelock: step ceiling 3 exceeded")
+    assert out[2] == "1 sentences, 2 seeds, 2 mismatches"
+
+
 def test_oracle_compare_rejects_bad_counts(tmp_path, capsys):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("many | mit\n")

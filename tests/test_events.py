@@ -1,5 +1,6 @@
 """Event recording, script derivation, trace validation, export, comparison."""
 
+import dataclasses
 import json
 
 import pytest
@@ -39,6 +40,62 @@ def test_forward_reference_is_rejected():
     net = ev.EventNetwork()
     with pytest.raises(ValueError, match="cause 99"):
         net.record(1, "k", {}, [99], 0)
+
+
+FIELDS = ("event_id", "target", "key", "params", "causes", "state_version")
+
+# What a plain frozen dataclass of the same fields does: Event's own
+# __init__ must not change its repr, equality or immutability.
+ReferenceEvent = dataclasses.make_dataclass("Event", FIELDS, frozen=True)
+
+
+def test_event_fields_are_frozen():
+    event = ev.Event(3, 1, "ping", {"n": 1}, frozenset({0, 2}), 4)
+    assert tuple(f.name for f in dataclasses.fields(ev.Event)) == FIELDS
+    for name in FIELDS:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(event, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(event, name)
+    # A name that is no field cannot be added either.  Python 3.11's frozen
+    # slotted dataclasses refuse it with a TypeError from their generated
+    # __setattr__, not with FrozenInstanceError.
+    with pytest.raises((dataclasses.FrozenInstanceError, AttributeError, TypeError)):
+        event.extra = 1
+    assert not hasattr(event, "__dict__")
+    assert [getattr(event, name) for name in FIELDS] == [3, 1, "ping", {"n": 1},
+                                                          frozenset({0, 2}), 4]
+
+
+def test_event_repr_and_eq_are_field_by_field():
+    values = (3, 1, "ping", {"n": 1}, frozenset({0, 2}), 4)
+    others = (4, 2, "pong", {"n": 2}, frozenset({0}), 5)
+    event = ev.Event(*values)
+    assert repr(event) == repr(ReferenceEvent(*values))
+    assert repr(event) == ("Event(event_id=3, target=1, key='ping', params={'n': 1}, "
+                           "causes=frozenset({0, 2}), state_version=4)")
+    assert event == ev.Event(*values)
+    assert event == ev.Event(**dict(zip(FIELDS, values)))
+    for i in range(len(FIELDS)):
+        changed = values[:i] + (others[i],) + values[i + 1:]
+        assert event != ev.Event(*changed)
+        assert (event == ev.Event(*changed)) == (ReferenceEvent(*values)
+                                                 == ReferenceEvent(*changed))
+    assert event != values
+    assert event != ReferenceEvent(*values)
+
+
+def test_subnetwork_builds_equal_events():
+    net = ev.EventNetwork()
+    net.record(1, "a", {"n": 0}, [], 0)
+    net.record(2, "b", {"n": 1}, [0], 1)
+    net.record(1, "c", {"n": 2}, [0, 1], 2)
+    sub = net.subnetwork([0, 2])
+    assert sub.events == [ev.Event(0, 1, "a", {"n": 0}, frozenset(), 0),
+                          ev.Event(2, 1, "c", {"n": 2}, frozenset({0}), 2)]
+    assert [repr(e) for e in sub.events] == [
+        repr(ReferenceEvent(*(getattr(e, name) for name in FIELDS))) for e in sub.events]
+    assert net.subnetwork(range(3)).events == net.events
 
 
 def test_causes_closure_is_transitive():

@@ -1,6 +1,9 @@
 """Actor runtime: scheduling, determinism, conformance, services."""
 
+import gc
 import json
+import random
+import weakref
 from dataclasses import dataclass, field
 
 import pytest
@@ -124,6 +127,34 @@ def test_a_kept_context_cannot_send():
     assert not ctx.system.scheduler.pending
 
 
+def test_a_kept_context_cannot_send_during_another_delivery():
+    # a's context, kept past a's delivery, must not send while b is being
+    # served: b's declared keys and b's event would vouch for its message
+    kept = []
+
+    def keep(ctx, env):
+        kept.append(ctx)
+
+    def go(ctx, env):
+        kept[0].send(kept[0].actor_id, "ping")
+
+    system = rt.System()
+    system.register_behavior(rt.BehaviorDef(
+        name="both", handlers={"ping": keep, "go": go},
+        action_trees={"ping": ev.Seq(), "go": ev.Send("self", "ping")}))
+    a = system.spawn("both", "a", rt.ActorState())
+    b = system.spawn("both", "b", rt.ActorState())
+    system.kick(a, "ping")
+    system.run_to_quiescence()
+    system.kick(b, "go")
+    with pytest.raises(rt.ContractViolation,
+                       match=r"the context of event 2 sent 'ping' during event 3; "
+                             r"it can only send during its own delivery"):
+        system.run_to_quiescence()
+    assert not system.scheduler.pending
+    assert [(e.target, e.key) for e in system.net.events[2:]] == [(a, "ping"), (b, "go")]
+
+
 def test_a_kept_context_cannot_request():
     ctx, _a = _kept_context()
     with pytest.raises(rt.ContractViolation, match="outside a computation event"):
@@ -157,7 +188,15 @@ def test_same_seed_means_identical_networks():
     assert len(lines_a) == len(lines_b)
 
 
-def test_guaranteed_delivery():
+def test_guaranteed_delivery(monkeypatch):
+    posted = []
+    post = rt.System.post
+
+    def counted_post(self, target, key, params=None, initiator=None, cause=None):
+        posted.append((target, key, params["n"], params["chain"]))
+        post(self, target, key, params, initiator, cause)
+
+    monkeypatch.setattr(rt.System, "post", counted_post)
     system = fresh_system(seed=11)
     a = system.spawn("counter", "a", CounterState())
     for n in range(5):
@@ -165,7 +204,67 @@ def test_guaranteed_delivery():
     system.run_to_quiescence()
     assert not system.scheduler.pending
     delivered = [e for e in system.net.events if e.key == "ping"]
-    assert len(delivered) == system.scheduler.posted_count
+    assert len(posted) == 5 + (0 + 1 + 2 + 0 + 1)
+    # every posted message is delivered exactly once
+    assert sorted((e.target, e.key, e.params["n"], e.params["chain"]) for e in delivered) \
+        == sorted(posted)
+
+
+# The trace pins rest on CPython's draw algorithm: sequential mode delivers
+# pending.pop(rng.randrange(n)), and a parallel round takes the pending
+# envelopes in the order rng.shuffle gives.  The scheduler inlines both
+# draws, so these tests name that dependence and fail first if either side
+# changes.  Seeds 0..199 and pools of 1..40 envelopes cover the rejection
+# loop just above every power of two up to 32; one generator per seed, in
+# step with the scheduler's over the whole sequence of draws.
+
+def test_sequential_draws_are_randrange():
+    for seed in range(200):
+        system = fresh_system(seed=seed)
+        a = system.spawn("counter", "a", CounterState())
+        reference = random.Random(seed)
+        for n in range(1, 41):
+            for i in range(n):
+                system.kick(a, "ping", {"n": i})
+            assert system.deliver_next().params["n"] == reference.randrange(n), (seed, n)
+            system.scheduler.pending.clear()
+
+
+def test_parallel_rounds_are_shuffles():
+    for seed in range(200):
+        system = fresh_system(seed=seed, mode="parallel")
+        actors = [system.spawn("counter", f"a{i}", CounterState()) for i in range(40)]
+        reference = random.Random(seed)
+        for n in range(1, 41):
+            for i in range(n):
+                system.kick(actors[i], "ping", {"n": i})
+            order = list(range(n))
+            reference.shuffle(order)
+            # n distinct receivers: one round delivers them all
+            assert [system.deliver_next().params["n"] for _ in range(n)] == order, (seed, n)
+            assert system.deliver_next() is None
+
+
+@pytest.mark.parametrize("mode", ["sequential", "parallel"])
+def test_a_finished_system_is_freed_by_reference_counting(mode):
+    # No reference cycle through the system: a context that outlived its
+    # delivery, say one kept per actor, would hold actors -> system ->
+    # actors and leave every finished run to the cyclic collector.
+    gc.collect()
+    gc.disable()
+    try:
+        system = fresh_system(seed=2, mode=mode)
+        a = system.spawn("counter", "a", CounterState())
+        b = system.spawn("counter", "b", CounterState())
+        system.kick(a, "ping", {"n": 1, "chain": 3})
+        system.kick(b, "ping", {"n": 2, "chain": 2})
+        net = system.run_to_quiescence()
+        assert len(net.events) == 2 + 4 + 3
+        freed = weakref.ref(system)
+        del system, net
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_step_ceiling_reports_livelock():
