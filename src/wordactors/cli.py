@@ -12,7 +12,10 @@ error (unknown option, malformed value, a negative ``--seeds`` or a
 ``--steps`` below 1) is an error too and exits 1; ``--help`` exits 0.
 In ``oracle-compare`` a run that raises (a handler failure, a livelock, an
 aborted parse) prints a ``crash:`` line naming sentence, seed and error,
-counts as a mismatch, and the sweep goes on to the summary line.
+counts as a mismatch, and the sweep goes on to the summary line.  So does
+a sentence the reference parser raises on (an unknown word, say): its
+``crash:`` line says ``reference`` where a seed would stand, it counts as
+one mismatch, and its seeds are not run.
 A ``parse`` whose run fails still writes ``--trace`` and ``--dot``.
 Output is byte-stable for identical inputs in sequential mode.
 """
@@ -147,7 +150,12 @@ def cmd_oracle_compare(args) -> int:
     mismatches = 0
     for expected, tokens in cases:
         sentence = " ".join(tokens)
-        reference = Counter(t.canonical() for t in orc.oracle_parse(lex, kb, tokens))
+        try:
+            reference = Counter(t.canonical() for t in orc.oracle_parse(lex, kb, tokens))
+        except (lx.LexiconError, cn.KBError) as exc:
+            print(f"crash: {sentence!r} reference: {type(exc).__name__}: {exc}")
+            mismatches += 1
+            continue
         if expected is not None and sum(reference.values()) != expected:
             print(f"count mismatch: {sentence!r}: expected {expected} readings, "
                   f"reference finds {sum(reference.values())}")

@@ -422,7 +422,7 @@ def _split_reading(ctx, env):
     episode = env.initiator
     branch = _registry(ctx).new_child(env.params["reading"])
 
-    twin = _spawn_copy(ctx, episode, branch, head_link=None, exclude=None)
+    twin, _left, _right = _spawn_copy(ctx, episode, branch, head_link=None, exclude=None)
     ctx.send(env.params["offerer"], DUPLICATE_STRUCTURE, initiator=episode,
              reading=branch, new_root=twin)
 
@@ -431,11 +431,20 @@ def _spawn_copy(ctx, episode, branch, head_link, exclude, pending_offer=None):
     """One node of a structure copy.  Valencies start empty; the copy's
     modifiers in the branch, bar ``exclude``, are asked to copy themselves
     below it, and their rebuild acceptances fill the valencies back in.  A
-    withheld receipt the copy takes over arrives as ``pending_offer``."""
+    withheld receipt the copy takes over arrives as ``pending_offer``.
+    Returns the copy's id and the span of the copied phrase."""
     state = ctx.state
-    copied = [(label, fill.filler)
-              for label, fill in _visible_fills(state, _registry(ctx), branch)
-              if fill.filler != exclude]
+    seen = _registry(ctx).ancestors_or_self(branch)
+    copied = []
+    left = right = state.position
+    for slot in state.slots:
+        for fill in slot.fills:
+            if fill.reading in seen and fill.filler != exclude:
+                copied.append((slot.spec.name, fill.filler))
+                if fill.left < left:
+                    left = fill.left
+                if fill.right > right:
+                    right = fill.right
     twin = WordState(
         acquaintances=dict(state.acquaintances),
         surface=state.surface, position=state.position, reading=branch,
@@ -451,7 +460,7 @@ def _spawn_copy(ctx, episode, branch, head_link, exclude, pending_offer=None):
     for _label, modifier in copied:
         ctx.send(modifier, COPY_STRUCTURE, initiator=episode,
                  reading=branch, new_head=twin, exclude=exclude)
-    return twin
+    return twin, left, right
 
 
 def _on_application(ctx, env):
@@ -505,8 +514,10 @@ def _on_slot_filled(ctx, env):
     p = env.params
     label = p["valency"]
 
-    slot = next((s for s in state.slots if s.spec.name == label), None)
-    if slot is None:
+    for slot in state.slots:
+        if slot.spec.name == label:
+            break
+    else:
         raise ProtocolError(f"{state.surface}: acceptance names unknown valency {label!r}")
 
     held = state.pending_offer
@@ -640,24 +651,13 @@ def on_copy_structure(ctx, env):
     link = _governing_link(state, reg, branch)
     if link is None:
         raise ProtocolError(f"{state.surface}: asked to copy but has no head")
-    twin = _spawn_copy(ctx, env.initiator, branch,
-                       head_link=HeadLink(branch, p["new_head"], link.label),
-                       exclude=exclude)
-    left, right = _span_without(state, reg, branch, exclude)
+    twin, left, right = _spawn_copy(ctx, env.initiator, branch,
+                                    head_link=HeadLink(branch, p["new_head"], link.label),
+                                    exclude=exclude)
     ctx.send(p["new_head"], HEAD_ACCEPTED, initiator=env.initiator,
              role="fills-your-slot", modifier=twin, valency=link.label,
              reading=branch, left_edge=left, right_edge=right,
              concept=_effective_concept(state, reg, branch))
-
-
-def _span_without(state, reg, context, exclude):
-    left = right = state.position
-    for _label, fill in _visible_fills(state, reg, context):
-        if fill.filler == exclude:
-            continue
-        left = min(left, fill.left)
-        right = max(right, fill.right)
-    return left, right
 
 
 def on_duplicate_structure(ctx, env):
@@ -675,8 +675,9 @@ def on_duplicate_structure(ctx, env):
 
     # The copy owes the receipt now, but in the original's name and for the
     # original reading: the searcher's ledger knows neither copy nor branch.
-    twin = _spawn_copy(ctx, env.initiator, branch, head_link=None, exclude=held.candidate,
-                       pending_offer=replace(held, candidate=new_root))
+    twin, _left, _right = _spawn_copy(ctx, env.initiator, branch, head_link=None,
+                                      exclude=held.candidate,
+                                      pending_offer=replace(held, candidate=new_root))
     ctx.send(new_root, HEAD_FOUND, initiator=env.initiator,
              role="offer", offerer=twin, valency=held.valency,
              constraints=held.constraints, reading=branch)
@@ -930,22 +931,33 @@ def read_out_trees(system) -> list:
 def _materialize(system, reg, visible, actor_pos, positions, tag):
     """The tree of one reading tag from the word actors visible in it, or
     None."""
-    chosen = {}
+    depth = reg.depth
+    chosen, chosen_depth = {}, {}
     for a in visible:
         p = a.state.position
-        cur = chosen.get(p)
-        if cur is None or reg.depth(a.state.reading) > reg.depth(cur.state.reading):
+        d = depth(a.state.reading)
+        cur = chosen_depth.get(p)
+        if cur is None or d > cur:
             chosen[p] = a
-        elif cur is not a and reg.depth(a.state.reading) == reg.depth(cur.state.reading):
+            chosen_depth[p] = d
+        elif d == cur and chosen[p] is not a:
             return None     # two equally specific actors claim one position
     if sorted(chosen) != positions:
         return None
 
-    roots, edges, taken = [], set(), set()
-    for p, a in sorted(chosen.items()):
-        link = _effective_link(system, reg, a, tag)
+    # From here on the positions are exactly 1..n, and lists indexed by
+    # position hold the tree.
+    n = len(positions)
+    head_of = [0] * (n + 1)
+    label_of = [None] * (n + 1)
+    root = None
+    taken = set()
+    for p in positions:
+        link = _effective_link(system, reg, chosen[p], tag)
         if link is None:
-            roots.append(p)
+            if root is not None:
+                return None     # a second root
+            root = p
             continue
         hp = actor_pos.get(link.head)
         if hp is None or hp not in chosen:
@@ -953,32 +965,48 @@ def _materialize(system, reg, visible, actor_pos, positions, tag):
         if (hp, link.label) in taken:
             return None     # a valency may hold one phrase per reading
         taken.add((hp, link.label))
-        edges.add(tr.Edge(hp, chosen[hp].state.surface, link.label,
-                          p, a.state.surface))
-    if len(roots) != 1:
+        head_of[p] = hp
+        label_of[p] = link.label
+    if root is None:
         return None
-    root = roots[0]
 
     for p, a in chosen.items():
         for s in a.state.slots:
             if s.spec.necessity == lx.MANDATORY and (p, s.spec.name) not in taken:
                 return None
 
-    head_of = {e.mod_pos: e.head_pos for e in edges}
-    reaches_root = {root}
-    for p in chosen:
-        walk, path = p, set()
-        while walk not in reaches_root:
-            if walk in path or walk not in head_of:
-                return None
-            path.add(walk)
-            walk = head_of[walk]
-        reaches_root |= path
-
-    tree = tr.ParseTree(root, chosen[root].state.surface, frozenset(edges))
-    if not tr.is_projective(tree, set(chosen)):
+    # Every position but the root has one head, so the breadth-first order
+    # from the root reaches every position iff no cycle avoids the root.
+    children = [[] for _ in range(n + 1)]
+    for p in positions:
+        if p != root:
+            children[head_of[p]].append(p)
+    order = [root]
+    for p in order:     # the list grows while it is walked
+        order.extend(children[p])
+    if len(order) != n:
         return None
-    return tree
+
+    # Backwards, every subtree is complete before its head is reached.  A
+    # subtree is contiguous iff its size equals the width of its span.  The
+    # root passes its span on to cell 0, which nothing reads.
+    lo = list(range(n + 1))
+    hi = list(range(n + 1))
+    size = [1] * (n + 1)
+    for p in reversed(order):
+        if size[p] != hi[p] - lo[p] + 1:
+            return None
+        h = head_of[p]
+        if lo[p] < lo[h]:
+            lo[h] = lo[p]
+        if hi[p] > hi[h]:
+            hi[h] = hi[p]
+        size[h] += size[p]
+
+    return tr.ParseTree(root, chosen[root].state.surface, frozenset(
+        tr.Edge(head_of[p], chosen[head_of[p]].state.surface, label_of[p],
+                p, chosen[p].state.surface)
+        for p in positions if p != root))
 
 
 # --------------------------------------------------------------------------

@@ -143,6 +143,13 @@ def _render_value(value: Any):
     return str(value)
 
 
+def _request_after_delivery(service: str, *args):
+    """``request`` of a context whose delivery is over."""
+    raise ContractViolation(
+        f"request({service!r}) outside a computation event of its own: "
+        "a context can call services only during its own delivery")
+
+
 class Context:
     """Handler-side view of the system during one computation event.
 
@@ -150,9 +157,9 @@ class Context:
     receiver's id, ``state`` the receiving actor's own state object (a
     handler changes it in place), ``shared`` the system's shared knowledge,
     and ``request`` the system's service call.  A context kept past its
-    delivery cannot send, neither after the run nor during another
-    delivery.  Its ``request`` is the system's own, so it refuses only
-    outside any delivery.
+    delivery can neither send nor call a service, neither after the run
+    nor during another delivery: once the delivery ends, its ``request``
+    is replaced by one that refuses.
     """
 
     __slots__ = ("system", "actor", "actor_id", "state", "shared", "request",
@@ -288,18 +295,20 @@ class System:
             while j > i:
                 j = getrandbits(k)
             order[i], order[j] = order[j], order[i]
-        taken_targets = set()
-        taken_indices = set()
+        targets = set()
         batch = []
         for i in order:
-            target = pending[i][0]
-            if target not in taken_targets:
-                taken_targets.add(target)
-                taken_indices.add(i)
-                batch.append(pending[i])
+            item = pending[i]
+            if item[0] not in targets:
+                targets.add(item[0])
+                batch.append(item)
+                pending[i] = None   # taken
         batch.reverse()  # delivered by popping from the end
         self._batch = batch
-        pending[:] = [item for i, item in enumerate(pending) if i not in taken_indices]
+        if len(batch) == len(pending):
+            pending.clear()
+        else:
+            pending[:] = [item for item in pending if item is not None]
 
     def deliver_next(self) -> Optional[ev.Event]:
         """Deliver one envelope; None at quiescence."""
@@ -354,6 +363,8 @@ class System:
                 f"(actor {actor.display_name}): {err}") from err
         finally:
             self._current_event = None
+            # A context kept past its delivery must not call services later.
+            ctx.request = _request_after_delivery
 
         return self.net.events[event_id]
 

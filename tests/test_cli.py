@@ -212,6 +212,16 @@ def test_oracle_compare_reports_a_crashing_run_and_goes_on(tmp_path, capsys):
     assert out[2] == "1 sentences, 2 seeds, 2 mismatches"
 
 
+def test_oracle_compare_reports_a_reference_crash_and_goes_on(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("1 | Compaq liefert einen Rechner\n1 | Compaq zzz\n")
+    # the reference cannot parse the second line: no seed of it is run
+    assert cli.main(["oracle-compare", str(corpus), "--seeds", "2"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "crash: 'Compaq zzz' reference: LexiconError: unknown word 'zzz' at position 2",
+        "2 sentences, 2 seeds, 1 mismatches"]
+
+
 def test_oracle_compare_rejects_bad_counts(tmp_path, capsys):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("many | mit\n")

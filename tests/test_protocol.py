@@ -530,3 +530,56 @@ def test_readout_agrees_with_the_full_scan_on_random_states(system):
     want = [_full_scan_materialize(system, reg, words, positions, tag)
             for tag in sorted(reg.parent)]
     assert pt.read_out_trees(system) == [t for t in want if t is not None]
+
+
+def _hand_made_state(n, words, tags=1):
+    """A system holding hand-made word actors at positions 1..n.  Each word
+    is (position, reading, heads), a head being (index into ``words``,
+    label) and linked in the word's own reading; tags 1.. are children of
+    the base reading."""
+    system, _scanner = pt.build_system(None, None, [])
+    reg = system.shared["readings"]
+    for _ in range(tags - 1):
+        reg.new_child(0)
+    pt._scanner_state(system).spawned = n
+    first = system._next_actor_id
+    for i, (position, reading, heads) in enumerate(words):
+        state = pt.WordState(
+            surface=f"w{i}", position=position, reading=reading,
+            head_links=[pt.HeadLink(reading, first + h, label) for h, label in heads])
+        system.spawn("word", state.surface, state)
+    return system
+
+
+# The random states above seldom draw a tree that fails only on its shape,
+# so each rejection branch of the readout gets a hand-made state here.
+READOUT_CASES = {
+    # 1 -> 2, 1 -> 4 -> 3: every subtree contiguous
+    "projective": (4, [(1, 0, []), (2, 0, [(0, "a")]), (3, 0, [(3, "a")]),
+                       (4, 0, [(0, "b")])], 1, 1),
+    # 4 -> 2 crosses 1 -> 3
+    "crossing arcs": (4, [(1, 0, []), (2, 0, [(3, "a")]), (3, 0, [(0, "a")]),
+                          (4, 0, [(0, "b")])], 1, 0),
+    # 3 -> 1 spans the root at 2
+    "an arc over the root": (3, [(1, 0, [(2, "a")]), (2, 0, []), (3, 0, [(1, "a")])], 1, 0),
+    # 2 and 3 head each other; 1 is the root
+    "a cycle avoiding the root": (3, [(1, 0, []), (2, 0, [(2, "a")]), (3, 0, [(1, "a")])],
+                                  1, 0),
+    "two roots": (2, [(1, 0, []), (2, 0, [])], 1, 0),
+    # the head is visible only in tag 2, at a position past the text
+    "a head outside the reading": (2, [(1, 0, []), (2, 0, [(2, "a")]), (3, 2, [])], 3, 0),
+    "a head that is no actor": (2, [(1, 0, []), (2, 0, [(5, "a")])], 1, 0),
+}
+
+
+@pytest.mark.parametrize("case", READOUT_CASES)
+def test_readout_agrees_with_the_full_scan_on_hand_made_states(case):
+    n, words, tags, readings = READOUT_CASES[case]
+    system = _hand_made_state(n, words, tags)
+    reg = system.shared["readings"]
+    want = [_full_scan_materialize(system, reg, pt._word_actors(system),
+                                   list(range(1, n + 1)), tag)
+            for tag in sorted(reg.parent)]
+    got = pt.read_out_trees(system)
+    assert got == [t for t in want if t is not None]
+    assert len(got) == readings

@@ -161,6 +161,35 @@ def test_a_kept_context_cannot_request():
         ctx.request("double", 3)
 
 
+def test_a_kept_context_cannot_request_during_another_delivery():
+    # a's context, kept past a's delivery, must not call a service while b
+    # is being served: the call would be logged under b's event
+    kept = []
+
+    def keep(ctx, env):
+        kept.append(ctx)
+
+    def go(ctx, env):
+        kept[0].request("double", 3)
+
+    system = rt.System(log_requests=True)
+    system.register_service("double", lambda x: 2 * x)
+    system.register_behavior(rt.BehaviorDef(
+        name="both", handlers={"ping": keep, "go": go},
+        action_trees={"ping": ev.Seq(), "go": ev.Seq()}))
+    a = system.spawn("both", "a", rt.ActorState())
+    b = system.spawn("both", "b", rt.ActorState())
+    system.kick(a, "ping")
+    system.run_to_quiescence()
+    system.kick(b, "go")
+    with pytest.raises(rt.ContractViolation,
+                       match=r"request\('double'\) outside a computation event of its own: "
+                             r"a context can call services only during its own delivery"):
+        system.run_to_quiescence()
+    assert system.request_log == {}
+    assert [(e.target, e.key) for e in system.net.events[2:]] == [(a, "ping"), (b, "go")]
+
+
 def test_delivery_order_is_scheduler_chosen():
     first_delivered = set()
     for seed in range(20):
@@ -243,6 +272,53 @@ def test_parallel_rounds_are_shuffles():
             # n distinct receivers: one round delivers them all
             assert [system.deliver_next().params["n"] for _ in range(n)] == order, (seed, n)
             assert system.deliver_next() is None
+
+
+def _reference_round(pending, rng):
+    """A parallel round as first written: shuffle the indices, take the
+    first envelope per target, rebuild the pool from the indices not taken.
+    Returns the round in delivery order and the pool left pending."""
+    order = list(range(len(pending)))
+    rng.shuffle(order)
+    taken_targets, taken_indices, batch = set(), set(), []
+    for i in order:
+        target = pending[i][0]
+        if target not in taken_targets:
+            taken_targets.add(target)
+            taken_indices.add(i)
+            batch.append(pending[i])
+    return batch, [item for i, item in enumerate(pending) if i not in taken_indices]
+
+
+def test_parallel_rounds_with_repeated_receivers():
+    # Pools of 1..20 envelopes over fewer receivers than envelopes: a round
+    # takes one envelope per receiver and leaves the rest pending.
+    drained = partial = 0
+    for seed in range(200):
+        system = fresh_system(seed=seed, mode="parallel")
+        actors = [system.spawn("counter", f"a{i}", CounterState()) for i in range(19)]
+        reference = random.Random(seed)
+        pick = random.Random(-1 - seed)
+        for n in range(1, 21):
+            receivers = actors[:pick.randint(1, max(1, n - 1))]
+            pending = []
+            for i in range(n):
+                target = pick.choice(receivers)
+                system.kick(target, "ping", {"n": i})
+                pending.append((target, i))
+            while pending:
+                batch, left = _reference_round(pending, reference)
+                if left:
+                    partial += 1
+                else:
+                    drained += 1
+                delivered = [system.deliver_next() for _ in batch]
+                assert [(e.target, e.params["n"]) for e in delivered] == batch, (seed, n)
+                assert [(t, env.params["n"]) for t, env, _ in system.scheduler.pending] \
+                    == left, (seed, n)
+                pending = left
+            assert system.deliver_next() is None
+    assert drained and partial
 
 
 @pytest.mark.parametrize("mode", ["sequential", "parallel"])
