@@ -61,10 +61,13 @@ class EventNetwork:
     def record(self, target: int, key: str, params: dict,
                causes: Iterable[int], state_version: int) -> int:
         """Append one event and return its id.  The event keeps ``params``
-        itself, not a copy, so the caller must not edit that dict later."""
+        itself, not a copy, so the caller must not edit that dict later.
+        Each cause must be the plain ``int`` id of an earlier event."""
         event_id = len(self.events)
         cause_set = frozenset(causes)
         for c in cause_set:
+            if type(c) is not int:
+                raise ValueError(f"event {event_id}: cause {c!r} is not an event id")
             if not (0 <= c < event_id):
                 raise ValueError(f"event {event_id}: cause {c} not yet recorded")
         self.events.append(Event(event_id, target, key, params, cause_set, state_version))
@@ -298,6 +301,15 @@ def _json_params(params) -> str:
         return _PARAMS_ENCODER.encode(_writable(params))
 
 
+def _c_params_encoder(markers):
+    """The C encoder that each ``_PARAMS_ENCODER.encode`` call builds, with
+    ``markers`` as its circular-reference record (None for none)."""
+    # markers, default, string encoder, indent, key and item separators,
+    # sort_keys, skipkeys, allow_nan
+    return _c_make_encoder(markers, _json_default, json.encoder.encode_basestring_ascii,
+                           None, ": ", ", ", True, False, True)
+
+
 def _params_writer():
     """A function that writes params exactly as ``_json_params`` does, for
     the lines of one export.  It builds once the C encoder that each
@@ -307,10 +319,7 @@ def _params_writer():
     if _c_make_encoder is None:
         return _json_params
     markers = {}
-    # markers, default, string encoder, indent, key and item separators,
-    # sort_keys, skipkeys, allow_nan
-    encode = _c_make_encoder(markers, _json_default, json.encoder.encode_basestring_ascii,
-                             None, ": ", ", ", True, False, True)
+    encode = _c_params_encoder(markers)
 
     def write(params) -> str:
         try:
@@ -333,14 +342,42 @@ def _events_jsonl(net: EventNetwork) -> str:
     # written here in that key order.
     encode = _ENCODER.encode
     write_params = _params_writer()
-    lines = [
-        f'{{"causes": [{", ".join(map(_json_int, sorted(e.causes)))}], '
-        f'"id": {_json_int(e.event_id)}, "key": {encode(e.key)}, '
-        f'"params": {write_params(e.params)}, '
-        f'"stateVersion": {_json_int(e.state_version)}, '
-        f'"target": {_json_int(e.target)}}}\n'
-        for e in net.events
-    ]
+    # Every event record() makes has int id, target and version and a str
+    # key; those lines are written with no encoder call for the skeleton
+    # and their params by one C encoder without a circular-reference
+    # record.  Params that contain themselves then overflow its recursion
+    # guard, and params with keys json refuses raise TypeError; both take
+    # write_params again, which raises json's ValueError for a cycle.
+    fast = _c_make_encoder is not None
+    if fast:
+        encode_params = _c_params_encoder(None)
+        encode_str = json.encoder.encode_basestring_ascii
+    lines = []
+    append = lines.append
+    for e in net.events:
+        event_id, target, key, version = e.event_id, e.target, e.key, e.state_version
+        if (fast and type(event_id) is int and type(target) is int
+                and type(version) is int and type(key) is str):
+            causes = e.causes
+            if not causes:
+                written = ""
+            elif len(causes) == 1:
+                (cause,) = causes
+                written = _json_int(cause)
+            else:
+                written = ", ".join(map(_json_int, sorted(causes)))
+            try:
+                params = "".join(encode_params(e.params, 0))
+            except (TypeError, RecursionError):
+                params = write_params(e.params)
+            append(f'{{"causes": [{written}], "id": {event_id}, "key": {encode_str(key)}, '
+                   f'"params": {params}, "stateVersion": {version}, "target": {target}}}\n')
+        else:
+            append(f'{{"causes": [{", ".join(map(_json_int, sorted(e.causes)))}], '
+                   f'"id": {_json_int(event_id)}, "key": {encode(key)}, '
+                   f'"params": {write_params(e.params)}, '
+                   f'"stateVersion": {_json_int(version)}, '
+                   f'"target": {_json_int(target)}}}\n')
     return "".join(lines)
 
 

@@ -299,7 +299,7 @@ def pre_search_head(ctx, env):
     on to its head before looking at it."""
     link = _governing_link(ctx.state, _registry(ctx), env.params["profile"]["reading"])
     if link is not None:
-        ctx.send(link.head, SEARCH_HEAD, initiator=env.initiator, **env.params)
+        ctx.send(link.head, SEARCH_HEAD, **env.params)
 
 
 def on_search_head(ctx, env):
@@ -573,7 +573,7 @@ def _on_application_accepted(ctx, env):
         relayed_profile = dict(relay["profile"])
         relayed_profile["left_edge"] = state.left_edge
         relay["profile"] = relayed_profile
-        ctx.send(state.left_exit, SEARCH_HEAD, initiator=episode, **relay)
+        ctx.send(state.left_exit, SEARCH_HEAD, **relay)
         passed = [state.left_exit]
     ctx.send(episode, RECEIPT, initiator=episode, reading=context,
              answered_by=ctx.actor_id, passed_on=passed)

@@ -8,8 +8,9 @@ atomically: the receiving behavior's pre-distribution rule (which may
 forward copies of the message), the handler itself (the computation), and
 the post-distribution rule.  Every arrival is recorded as one event whose
 causes are the events that posted the message.  The event keeps the params
-as they were delivered, plus the initiator; nothing is rendered during
-delivery.  The JSONL export renders them when it writes the trace.
+dict of the message itself, the initiator included; nothing is copied or
+rendered during delivery.  The JSONL export renders them when it writes the
+trace.
 
 Messages here are plain envelope values rather than actors in their own
 right; the distribution hooks preserve the observable effect (forwarding
@@ -157,9 +158,10 @@ class Context:
     receiver's id, ``state`` the receiving actor's own state object (a
     handler changes it in place), ``shared`` the system's shared knowledge,
     and ``request`` the system's service call.  A context kept past its
-    delivery can neither send nor call a service, neither after the run
-    nor during another delivery: once the delivery ends, its ``request``
-    is replaced by one that refuses.
+    delivery can neither send, spawn nor call a service, neither after the
+    run nor during another delivery: ``send`` and ``spawn`` refuse unless
+    its event is the one being delivered, and once the delivery ends, its
+    ``request`` is replaced by one that refuses.
     """
 
     __slots__ = ("system", "actor", "actor_id", "state", "shared", "request",
@@ -182,7 +184,9 @@ class Context:
         mutates them or anything they hold.  The event of the delivery
         keeps them unrendered until the trace is exported, so a later edit
         would change the recorded trace.  Build a fresh dict or list to
-        send an edited version, as the relay does.
+        send an edited version, as the relay does.  A non-None
+        ``initiator`` is one of the params, so a receiver that relays
+        ``**env.params`` relays it too.
         """
         system = self.system
         event = self._event
@@ -197,10 +201,23 @@ class Context:
             raise ContractViolation(
                 f"behavior {self.actor.behavior.name!r} emitted undeclared key {key!r} "
                 f"while handling {system.net.events[event].key!r}")
+        if initiator is not None:
+            params["initiator"] = initiator
         system.post(target, key, params, initiator, event)
 
     def spawn(self, behavior_name: str, display_name: str, state: ActorState) -> int:
-        return self.system.spawn(behavior_name, display_name, state)
+        """Create an actor; its creation event is caused by this context's
+        event, so only during that event's own delivery."""
+        system = self.system
+        event = self._event
+        if system._current_event != event:
+            if system._current_event is None:
+                raise ContractViolation(
+                    "actors can only be spawned from inside a computation event")
+            raise ContractViolation(
+                f"the context of event {event} spawned {display_name!r} during event "
+                f"{system._current_event}; it can only spawn during its own delivery")
+        return system.spawn(behavior_name, display_name, state)
 
     def bump(self) -> None:
         self.actor.state_version += 1
@@ -257,7 +274,9 @@ class System:
 
     def post(self, target: int, key: str, params: Optional[dict] = None,
              initiator: Optional[int] = None, cause: Optional[int] = None) -> None:
-        """Queue an envelope; no processing happens until delivery."""
+        """Queue an envelope; no processing happens until delivery.  Its
+        event will keep ``params`` itself as its params, so they must
+        already hold the initiator, as ``Context.send`` makes them."""
         if target not in self.actors:
             raise ContractViolation(f"post to unknown actor {target}")
         env = MessageEnvelope(key, params or {}, initiator)
@@ -340,10 +359,8 @@ class System:
                 f"behavior {behavior.name!r} has no handler for key {envelope.key!r}")
 
         causes = (cause,) if cause is not None else ()
-        params = dict(envelope.params)
-        if envelope.initiator is not None:
-            params["initiator"] = envelope.initiator
-        event_id = self.net.record(target, envelope.key, params, causes, actor.state_version)
+        event_id = self.net.record(target, envelope.key, envelope.params, causes,
+                                   actor.state_version)
 
         self._current_event = event_id
         ctx = Context(self, actor, event_id, behavior.allowed_keys(envelope.key))
@@ -384,5 +401,6 @@ class System:
     # -- bootstrap --------------------------------------------------------
 
     def kick(self, target: int, key: str, params: Optional[dict] = None) -> None:
-        """Post an initial envelope from outside any event (no cause)."""
-        self.post(target, key, params, cause=None)
+        """Post an initial envelope from outside any event (no cause).  Its
+        event keeps a copy of ``params``, which the caller may edit later."""
+        self.post(target, key, dict(params) if params else None, cause=None)

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,18 @@ def test_forward_reference_is_rejected():
     net = ev.EventNetwork()
     with pytest.raises(ValueError, match="cause 99"):
         net.record(1, "k", {}, [99], 0)
+
+
+@pytest.mark.parametrize("cause", [True, 1.0, "a", None])
+def test_a_cause_that_is_no_event_id_is_rejected(cause):
+    # a bool or float cause would be written as true or 1.0 and drawn in
+    # DOT from a node that does not exist; a str cause is no id either
+    net = ev.EventNetwork()
+    for _ in range(3):
+        net.record(1, "k", {}, [], 0)
+    with pytest.raises(ValueError, match=re.escape(f"event 3: cause {cause!r} is not an event id")):
+        net.record(1, "k", {}, [0, cause], 0)
+    assert len(net.events) == 3
 
 
 FIELDS = ("event_id", "target", "key", "params", "causes", "state_version")
@@ -278,6 +292,39 @@ def test_export_rejects_unknown_format():
         ev.export(object(), "dot")
 
 
+def test_real_traces_match_the_trace_schema(demo_lexicon, demo_kb):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((Path(__file__).parents[1] / "docs" / "trace.schema.json").read_text())
+    validator = jsonschema.Draft202012Validator(schema)
+    validator.check_schema(schema)
+    chain = "Compaq liefert einen Rechner".split()
+    runs = [(chain + k * "mit einer Harddisk".split(), mode)
+            for k in range(4) for mode in ("sequential", "parallel")]
+    runs.append((corpus_cases()[0][1], "sequential"))
+    for tokens, mode in runs:
+        _system, net, _trees = pt.run_parse(demo_lexicon, demo_kb, list(tokens), seed=0,
+                                            mode=mode)
+        lines = ev.export(net, "jsonl").splitlines()
+        assert len(lines) == len(net.events) > 0
+        for position, line in enumerate(lines):
+            record = json.loads(line)
+            assert record["id"] == position
+            assert [error.message for error in validator.iter_errors(record)] == [], line
+
+    # record() refuses a bool cause; an event appended by hand still has
+    # one, and its line is one the schema rejects
+    net = ev.EventNetwork()
+    for _ in range(3):
+        net.record(1, "k", {}, [], 0)
+    with pytest.raises(ValueError, match="is not an event id"):
+        net.record(1, "k", {}, [True], 0)
+    net.events.append(ev.Event(3, 1, "k", {}, frozenset({True}), 0))
+    line = ev.export(net, "jsonl").splitlines()[3]
+    assert '"causes": [true]' in line
+    assert ([error.message for error in validator.iter_errors(json.loads(line))]
+            == ["True is not of type 'integer'"])
+
+
 # The event-network exporters as first written: one json.dumps per record,
 # labels through name_of.  The exporters must stay byte-identical to these.
 # Events of a run keep their params unrendered; ``render`` renders them for
@@ -379,6 +426,81 @@ def _networks(draw):
 @given(_networks())
 def test_event_exports_equal_the_reference_exporters(net):
     _assert_exports_match_reference(net)
+
+
+def _one_key_kind_dicts(values):
+    """Dicts whose keys are all of one kind json writes itself, so that
+    json can sort them."""
+    return st.one_of(*(st.dictionaries(keys, values, max_size=3)
+                       for keys in (_texts, st.integers(), st.floats(), st.booleans(), st.none())))
+
+
+_keyed_params = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _texts,
+    lambda inner: (st.lists(inner, max_size=3) | st.tuples(inner, inner)
+                   | _one_key_kind_dicts(inner)),
+    max_leaves=6)
+
+
+@st.composite
+def _keyed_networks(draw):
+    net = ev.EventNetwork()
+    for _ in range(draw(st.integers(0, 6))):
+        n = len(net.events)
+        causes = draw(st.lists(st.integers(0, n - 1), max_size=3)) if n else []
+        net.record(draw(st.integers(0, 4)), draw(_texts), draw(_one_key_kind_dicts(_keyed_params)),
+                   causes, draw(st.integers(0, 9)))
+    return net
+
+
+@settings(max_examples=80)
+@given(_keyed_networks())
+def test_params_with_scalar_keys_and_tuples_are_written_as_json_dumps_writes_them(net):
+    _assert_exports_match_reference(net)
+
+
+def _exported_or_error(export, net):
+    try:
+        return export(net)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("accelerated", [True, False])
+def test_params_that_contain_themselves_fail_as_in_json_dumps(monkeypatch, accelerated):
+    if not accelerated:
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        monkeypatch.setattr(ev, "_c_make_encoder", None)
+    in_itself = [1]
+    in_itself.append(in_itself)
+    two_deep = {"a": 1}
+    two_deep["inner"] = {"back": two_deep}
+    circular = (ValueError, "Circular reference detected")
+    for params in ({"loop": in_itself}, two_deep):
+        first = ev.EventNetwork()
+        first.record(0, "k", params, [], 0)
+        second = ev.EventNetwork()
+        second.record(0, "k", {"n": 1}, [], 0)
+        second.record(0, "k", params, [0], 0)
+        for net in (first, second):
+            assert (_exported_or_error(lambda n: ev.export(n, "jsonl"), net)
+                    == _exported_or_error(_reference_jsonl, net) == circular)
+
+
+def test_a_dict_shared_twice_in_one_params_is_written_twice():
+    # acyclic, so neither json.dumps nor the export may refuse it, also
+    # when a dict with keys json refuses sends the event down the slow path
+    shared = {"b": [1, 2]}
+    net = ev.EventNetwork()
+    net.record(0, "k", {"x": shared, "y": [shared, shared]}, [], 0)
+    net.record(0, "k", {"x": shared, "z": {1: shared, "s": 0}}, [0], 0)
+    params = [line[line.index('"params": ') + 10:line.rindex(', "stateVersion": ')]
+              for line in ev.export(net, "jsonl").splitlines()]
+    assert params == [
+        '{"x": {"b": [1, 2]}, "y": [{"b": [1, 2]}, {"b": [1, 2]}]}',
+        '{"x": {"b": [1, 2]}, "z": {"1": {"b": [1, 2]}, "s": 0}}',
+    ]
+    assert params[0] == json.dumps(net.events[0].params, sort_keys=True)
 
 
 @pytest.mark.slow

@@ -155,6 +155,37 @@ def test_a_kept_context_cannot_send_during_another_delivery():
     assert [(e.target, e.key) for e in system.net.events[2:]] == [(a, "ping"), (b, "go")]
 
 
+def test_a_kept_context_cannot_spawn_during_another_delivery():
+    # a's context, kept past a's delivery, must not spawn while b is being
+    # served: the creation event would name b's event as its cause
+    kept = []
+
+    def keep(ctx, env):
+        kept.append(ctx)
+
+    def go(ctx, env):
+        kept[0].spawn("both", "child", rt.ActorState())
+
+    system = rt.System()
+    system.register_behavior(rt.BehaviorDef(
+        name="both", handlers={"ping": keep, "go": go},
+        action_trees={"ping": ev.Seq(), "go": ev.Create("both")}))
+    a = system.spawn("both", "a", rt.ActorState())
+    b = system.spawn("both", "b", rt.ActorState())
+    system.kick(a, "ping")
+    system.run_to_quiescence()
+    system.kick(b, "go")
+    with pytest.raises(rt.ContractViolation,
+                       match=r"the context of event 2 spawned 'child' during event 3; "
+                             r"it can only spawn during its own delivery"):
+        system.run_to_quiescence()
+    with pytest.raises(rt.ContractViolation,
+                       match="actors can only be spawned from inside a computation event"):
+        kept[0].spawn("both", "child", rt.ActorState())
+    assert sorted(system.actors) == [a, b]
+    assert [(e.target, e.key) for e in system.net.events[2:]] == [(a, "ping"), (b, "go")]
+
+
 def test_a_kept_context_cannot_request():
     ctx, _a = _kept_context()
     with pytest.raises(rt.ContractViolation, match="outside a computation event"):
@@ -564,6 +595,40 @@ def test_export_keeps_no_encoder_state_between_lines(monkeypatch):
     monkeypatch.setattr(json.encoder, "c_make_encoder", None)
     monkeypatch.setattr(ev, "_c_make_encoder", None)
     assert ev.export(net, "jsonl") == text
+
+
+def test_an_event_keeps_the_params_dict_of_its_message():
+    # one dict per message: the event records the dict the handler reads,
+    # and the initiator is one of its params
+    seen = []
+
+    def starter(ctx, env):
+        ctx.send(ctx.actor_id, "show", initiator=ctx.actor_id, n=1)
+        ctx.send(ctx.actor_id, "show", n=2)
+
+    def show(ctx, env):
+        seen.append((env.params, env.initiator, ctx.system.net.events[ctx._event].params))
+
+    system = rt.System()
+    system.register_behavior(rt.BehaviorDef(
+        name="b", handlers={"ping": starter, "show": show},
+        action_trees={"ping": ev.Send("self", "show"), "show": ev.Seq()}))
+    a = system.spawn("b", "a", rt.ActorState())
+    system.kick(a, "ping")
+    system.run_to_quiescence()
+    by_n = {params["n"]: (params, initiator) for params, initiator, _recorded in seen}
+    assert by_n == {1: ({"n": 1, "initiator": a}, a), 2: ({"n": 2}, None)}
+    assert all(params is recorded for params, _initiator, recorded in seen)
+
+
+def test_kick_params_are_copied():
+    system = fresh_system()
+    a = system.spawn("counter", "a", CounterState())
+    params = {"n": 1}
+    system.kick(a, "ping", params)
+    params["n"] = 2
+    net = system.run_to_quiescence()
+    assert [e.params for e in net.events if e.key == "ping"] == [{"n": 1}]
 
 
 def test_state_version_is_recorded_before_processing():
