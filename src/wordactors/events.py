@@ -62,7 +62,11 @@ class EventNetwork:
                causes: Iterable[int], state_version: int) -> int:
         """Append one event and return its id.  The event keeps ``params``
         itself, not a copy, so the caller must not edit that dict later.
-        Each cause must be the plain ``int`` id of an earlier event."""
+        Each cause must be the plain ``int`` id of an earlier event.  The
+        JSONL export writes only events whose ``target`` and
+        ``state_version`` are plain ints, whose ``key`` is a plain str, and
+        whose params hold only what ``json.dumps(sort_keys=True)`` writes
+        itself plus feature structures; it refuses any other."""
         event_id = len(self.events)
         cause_set = frozenset(causes)
         for c in cause_set:
@@ -240,124 +244,45 @@ def validate_trace(net: EventNetwork, etn: EventTypeNetwork) -> list:
 # --------------------------------------------------------------------------
 # Export and comparison.
 
-def _render(value):
-    # runtime imports this module, so its renderer is looked up on use
-    from .runtime import _render_value as render
-    return render(value)
-
-
 def _json_default(value):
-    """What json cannot write itself, by ``runtime._render_value``'s rules:
-    a feature structure as its text, a set as a sorted list, anything else
-    as ``str()``."""
+    """The one value params may hold that json cannot write itself: a
+    feature structure, written as its text.  Anything else is refused."""
     if isinstance(value, FeatureStructure):
         return render_fs(value)
-    return _render(value)
-
-
-# json.dumps(..., sort_keys=True) with every other setting at its default.
-# Its encode writes a str without building an encoder, but builds a new one
-# for every other value, so the lines of an export write params through
-# _params_writer instead.
-_ENCODER = json.JSONEncoder(sort_keys=True)
-# The same for params, with the hook that renders what json cannot write.
-_PARAMS_ENCODER = json.JSONEncoder(sort_keys=True, default=_json_default)
-# json's C encoder factory, None on an interpreter without the _json
-# accelerator; _params_writer falls back to _json_params then.
-_c_make_encoder = json.encoder.c_make_encoder
-
-
-def _json_key(key) -> str:
-    """``key`` as json writes an object key, or its ``str()`` if json
-    refuses it."""
-    if key is None or isinstance(key, (int, float)):
-        return _ENCODER.encode(key)
-    return str(key)
-
-
-def _writable(value):
-    """``value`` with the keys of each dict json refuses (a key that is not
-    a scalar, or keys that cannot be sorted together) turned into text by
-    ``_json_key``; every other dict and every value stays as it is."""
-    if isinstance(value, (list, tuple)):
-        return [_writable(v) for v in value]
-    if not isinstance(value, dict):
-        return value
-    value = {k: _writable(v) for k, v in value.items()}
-    try:
-        _ENCODER.encode(dict.fromkeys(value, 0))
-    except TypeError:
-        return {k if isinstance(k, str) else _json_key(k): v for k, v in value.items()}
-    return value
-
-
-def _json_params(params) -> str:
-    """``params`` as JSON, rendered during the encoding itself.  If json
-    refuses the keys of some dict in them, that one event is encoded again
-    with those keys written as text."""
-    try:
-        return _PARAMS_ENCODER.encode(params)
-    except TypeError:
-        return _PARAMS_ENCODER.encode(_writable(params))
-
-
-def _c_params_encoder(markers):
-    """The C encoder that each ``_PARAMS_ENCODER.encode`` call builds, with
-    ``markers`` as its circular-reference record (None for none)."""
-    # markers, default, string encoder, indent, key and item separators,
-    # sort_keys, skipkeys, allow_nan
-    return _c_make_encoder(markers, _json_default, json.encoder.encode_basestring_ascii,
-                           None, ": ", ", ", True, False, True)
-
-
-def _params_writer():
-    """A function that writes params exactly as ``_json_params`` does, for
-    the lines of one export.  It builds once the C encoder that each
-    ``_PARAMS_ENCODER.encode`` call would build, with the same arguments,
-    and reuses it.  Its ``markers`` dict, the circular-reference record, is
-    state, so each export builds its own writer."""
-    if _c_make_encoder is None:
-        return _json_params
-    markers = {}
-    encode = _c_params_encoder(markers)
-
-    def write(params) -> str:
-        try:
-            return "".join(encode(params, 0))
-        except TypeError:
-            # a failed encode leaves the dicts it was inside in markers
-            markers.clear()
-            return _PARAMS_ENCODER.encode(_writable(params))
-    return write
+    raise TypeError(f"params hold a {type(value).__name__}, which a trace cannot write")
 
 
 def _json_int(value) -> str:
-    """``value`` as json.dumps writes it; plain ints skip the encoder."""
-    return str(value) if type(value) is int else _ENCODER.encode(value)
+    """A cause as json writes it; anything but a plain int is refused."""
+    if type(value) is int:
+        return str(value)
+    raise TypeError(f"cause {value!r} is not an int")
 
 
 def _events_jsonl(net: EventNetwork) -> str:
-    # Each line equals json.dumps of the six-field record with sorted keys,
-    # its params written as _json_params writes them; the skeleton is
-    # written here in that key order.
-    encode = _ENCODER.encode
-    write_params = _params_writer()
-    # Every event record() makes has int id, target and version and a str
-    # key; those lines are written with no encoder call for the skeleton
-    # and their params by one C encoder without a circular-reference
-    # record.  Params that contain themselves then overflow its recursion
-    # guard, and params with keys json refuses raise TypeError; both take
-    # write_params again, which raises json's ValueError for a cycle.
-    fast = _c_make_encoder is not None
-    if fast:
-        encode_params = _c_params_encoder(None)
-        encode_str = json.encoder.encode_basestring_ascii
+    # Each line equals json.dumps of the six-field record with sorted keys
+    # and _json_default as its hook.  The skeleton is written here in that
+    # key order; the params of every line go through one encoder built for
+    # the export.  That C encoder keeps no circular-reference record, so
+    # params that contain themselves overflow its recursion guard instead.
+    # An event outside the rule of docs/formats.md raises ValueError.
+    make_encoder = json.encoder.c_make_encoder
+    encode_str = json.encoder.encode_basestring_ascii
+    # markers, default, string encoder, indent, key and item separators,
+    # sort_keys, skipkeys, allow_nan
+    encode_params = (
+        make_encoder(None, _json_default, encode_str, None, ": ", ", ", True, False, True)
+        if make_encoder
+        else json.JSONEncoder(sort_keys=True, default=_json_default).iterencode)
     lines = []
     append = lines.append
     for e in net.events:
         event_id, target, key, version = e.event_id, e.target, e.key, e.state_version
-        if (fast and type(event_id) is int and type(target) is int
-                and type(version) is int and type(key) is str):
+        try:
+            if not (type(event_id) is int and type(target) is int
+                    and type(version) is int and type(key) is str):
+                raise TypeError("its id, target and stateVersion must be ints "
+                                "and its key a str")
             causes = e.causes
             if not causes:
                 written = ""
@@ -366,18 +291,11 @@ def _events_jsonl(net: EventNetwork) -> str:
                 written = _json_int(cause)
             else:
                 written = ", ".join(map(_json_int, sorted(causes)))
-            try:
-                params = "".join(encode_params(e.params, 0))
-            except (TypeError, RecursionError):
-                params = write_params(e.params)
-            append(f'{{"causes": [{written}], "id": {event_id}, "key": {encode_str(key)}, '
-                   f'"params": {params}, "stateVersion": {version}, "target": {target}}}\n')
-        else:
-            append(f'{{"causes": [{", ".join(map(_json_int, sorted(e.causes)))}], '
-                   f'"id": {_json_int(event_id)}, "key": {encode(key)}, '
-                   f'"params": {write_params(e.params)}, '
-                   f'"stateVersion": {_json_int(version)}, '
-                   f'"target": {_json_int(target)}}}\n')
+            params = "".join(encode_params(e.params, 0))
+        except (TypeError, ValueError, RecursionError) as err:
+            raise ValueError(f"event {event_id!r} cannot be exported: {err}") from err
+        append(f'{{"causes": [{written}], "id": {event_id}, "key": {encode_str(key)}, '
+               f'"params": {params}, "stateVersion": {version}, "target": {target}}}\n')
     return "".join(lines)
 
 
@@ -406,6 +324,8 @@ def export(obj, format: str = "jsonl") -> str:
     each node "[surface <= key]".  Type networks: JSONL has one record per
     edge; DOT labels each node "[* <= key]", writes guards as edge labels,
     and draws plumbing edges dashed.  Output is byte-stable for equal input.
+    An event network's JSONL export raises ``ValueError`` naming the first
+    event it cannot write (see ``EventNetwork.record``).
     """
     if format not in ("jsonl", "dot"):
         raise ValueError(f"unknown format {format!r}")

@@ -839,13 +839,11 @@ def protocol_behaviors() -> list:
 # System assembly.
 
 def build_system(lexicon, kb, tokens, *, seed=0, mode="sequential",
-                 step_ceiling=100000, lenient=False, debug_checks=True,
-                 log_requests=False):
+                 step_ceiling=100000, lenient=False, debug_checks=True):
     from . import concepts as cn
     from . import features as ft
 
-    system = rt.System(seed=seed, step_ceiling=step_ceiling, mode=mode,
-                       log_requests=log_requests)
+    system = rt.System(seed=seed, step_ceiling=step_ceiling, mode=mode)
     system.register_behavior(word_behavior())
     system.register_behavior(scanner_behavior())
     system.register_service("unify", ft.unify)

@@ -9,8 +9,8 @@ forward copies of the message), the handler itself (the computation), and
 the post-distribution rule.  Every arrival is recorded as one event whose
 causes are the events that posted the message.  The event keeps the params
 dict of the message itself, the initiator included; nothing is copied or
-rendered during delivery.  The JSONL export renders them when it writes the
-trace.
+rendered during delivery.  The JSONL export writes them as json writes them,
+a feature structure as its text, and refuses any other value.
 
 Messages here are plain envelope values rather than actors in their own
 right; the distribution hooks preserve the observable effect (forwarding
@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from . import events as ev
-from .features import FeatureStructure, render_fs
 
 
 class ContractViolation(RuntimeError):
@@ -121,29 +120,6 @@ class Actor:
         self.display_name = display_name
 
 
-def _render_value(value: Any):
-    # Exact types first: params are mostly plain dicts, lists and scalars.
-    # Everything else, subclasses included, takes the general chain below.
-    kind = type(value)
-    if kind is str or kind is int or kind is bool or value is None:
-        return value
-    if kind is dict:
-        return {str(k): _render_value(v) for k, v in value.items()}
-    if kind is list:
-        return [_render_value(v) for v in value]
-    if isinstance(value, FeatureStructure):
-        return render_fs(value)
-    if isinstance(value, (frozenset, set)):
-        return sorted(_render_value(v) for v in value)
-    if isinstance(value, (list, tuple)):
-        return [_render_value(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _render_value(v) for k, v in value.items()}
-    if isinstance(value, (int, str, bool)) or value is None:
-        return value
-    return str(value)
-
-
 def _request_after_delivery(service: str, *args):
     """``request`` of a context whose delivery is over."""
     raise ContractViolation(
@@ -184,7 +160,9 @@ class Context:
         mutates them or anything they hold.  The event of the delivery
         keeps them unrendered until the trace is exported, so a later edit
         would change the recorded trace.  Build a fresh dict or list to
-        send an edited version, as the relay does.  A non-None
+        send an edited version, as the relay does.  They may hold only what
+        ``json.dumps(sort_keys=True)`` writes itself and feature
+        structures; the JSONL export refuses anything else.  A non-None
         ``initiator`` is one of the params, so a receiver that relays
         ``**env.params`` relays it too.
         """
@@ -227,7 +205,7 @@ class System:
     """One run: behaviors, actors, scheduler, recorder, shared knowledge."""
 
     def __init__(self, seed: int = 0, step_ceiling: int = 100000,
-                 mode: str = "sequential", log_requests: bool = False):
+                 mode: str = "sequential"):
         if mode not in ("sequential", "parallel"):
             raise ValueError(f"unknown mode {mode!r}")
         self.behaviors: dict[str, BehaviorDef] = {}
@@ -239,8 +217,6 @@ class System:
         self.shared: dict[str, Any] = {}
         self.step_ceiling = step_ceiling
         self.mode = mode
-        self.log_requests = log_requests
-        self.request_log: dict[int, list] = {}
         self._next_actor_id = 1
         self._current_event: Optional[int] = None
         self._batch: list = []
@@ -288,11 +264,7 @@ class System:
             raise ContractViolation("request() outside a computation event")
         if service not in self.services:
             raise ContractViolation(f"unknown service {service!r}")
-        result = self.services[service](*args)
-        if self.log_requests:
-            self.request_log.setdefault(self._current_event, []).append(
-                (service, _render_value(list(args)), _render_value(result)))
-        return result
+        return self.services[service](*args)
 
     # -- scheduling -------------------------------------------------------
 

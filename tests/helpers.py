@@ -2,6 +2,8 @@
 
 from importlib import resources
 
+from wordactors.features import FeatureStructure, render_fs
+
 FIXTURES = resources.files("wordactors").joinpath("fixtures")
 
 DEMO_SENTENCE = "Compaq entwickelt einen Notebook mit einer 120-MByte-Harddisk".split()
@@ -34,3 +36,11 @@ def corpus_cases():
         want, _, sent = line.partition("|")
         cases.append((int(want.strip()), tuple(sent.split())))
     return cases
+
+
+def fs_text(value):
+    """A ``json.dumps`` default hook for trace params: a feature structure
+    is written as its text, anything else json cannot write is refused."""
+    if isinstance(value, FeatureStructure):
+        return render_fs(value)
+    raise TypeError(f"{type(value).__name__} in params")

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import DEMO_SENTENCE, corpus_cases, fixture_text
+from helpers import DEMO_SENTENCE, corpus_cases, fixture_text, fs_text
 
 from wordactors import events as ev
 from wordactors import protocol as pt
 from wordactors import runtime as rt
 from wordactors.concepts import load_kb
+from wordactors.features import parse_fs
 from wordactors.lexicon import load_lexicon
 
 
@@ -312,35 +313,38 @@ def test_real_traces_match_the_trace_schema(demo_lexicon, demo_kb):
             assert [error.message for error in validator.iter_errors(record)] == [], line
 
     # record() refuses a bool cause; an event appended by hand still has
-    # one, and its line is one the schema rejects
+    # one, and the export refuses it rather than write a line the schema
+    # rejects
     net = ev.EventNetwork()
     for _ in range(3):
         net.record(1, "k", {}, [], 0)
     with pytest.raises(ValueError, match="is not an event id"):
         net.record(1, "k", {}, [True], 0)
     net.events.append(ev.Event(3, 1, "k", {}, frozenset({True}), 0))
-    line = ev.export(net, "jsonl").splitlines()[3]
-    assert '"causes": [true]' in line
+    with pytest.raises(ValueError, match=r"^event 3 cannot be exported: cause True is not an int$"):
+        ev.export(net, "jsonl")
+    line = json.dumps({"causes": [True], "id": 3, "key": "k", "params": {},
+                       "stateVersion": 0, "target": 1}, sort_keys=True)
     assert ([error.message for error in validator.iter_errors(json.loads(line))]
             == ["True is not of type 'integer'"])
 
 
 # The event-network exporters as first written: one json.dumps per record,
 # labels through name_of.  The exporters must stay byte-identical to these.
-# Events of a run keep their params unrendered; ``render`` renders them for
-# the reference as delivery once did.
+# Events of a run keep their params unrendered; ``default`` is json's hook
+# for what it cannot write itself, fs_text for a run's feature structures.
 
-def _reference_jsonl(net, render=lambda params: params):
+def _reference_jsonl(net, default=None):
     lines = []
     for e in net.events:
         lines.append(json.dumps({
             "id": e.event_id,
             "target": e.target,
             "key": e.key,
-            "params": render(e.params),
+            "params": e.params,
             "causes": sorted(e.causes),
             "stateVersion": e.state_version,
-        }, sort_keys=True))
+        }, sort_keys=True, default=default))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -356,17 +360,16 @@ def _reference_dot(net):
 
 
 def _rendered(export, net):
-    """The export's text, or the error it raised (unsortable causes, or a
-    key, id or target json cannot write)."""
+    """The export's text, or the error it raised (unsortable causes in a
+    hand-made network)."""
     try:
         return export(net)
     except TypeError as err:
         return type(err), str(err)
 
 
-def _assert_exports_match_reference(net, render=lambda params: params):
-    assert (_rendered(lambda n: ev.export(n, "jsonl"), net)
-            == _rendered(lambda n: _reference_jsonl(n, render), net))
+def _assert_exports_match_reference(net, default=None):
+    assert ev.export(net, "jsonl") == _reference_jsonl(net, default)
     assert _rendered(lambda n: ev.export(n, "dot"), net) == _rendered(_reference_dot, net)
 
 
@@ -408,13 +411,12 @@ def _hand_made_networks(draw):
 
 
 @st.composite
-def _networks(draw):
-    kind = draw(st.sampled_from(["recorded", "subnetwork", "hand-made"]))
-    if kind == "hand-made":
+def _networks(draw, hand_made=False):
+    if hand_made:
         net = draw(_hand_made_networks())
     else:
         net = draw(_recorded_networks())
-        if kind == "subnetwork":
+        if draw(st.booleans()):
             net = net.subnetwork(draw(st.sets(st.integers(0, max(len(net.events) - 1, 0)))))
     targets = st.integers(0, 4) | _loose_ints
     for actor_id, name in draw(st.dictionaries(targets, _texts, max_size=4)).items():
@@ -426,6 +428,64 @@ def _networks(draw):
 @given(_networks())
 def test_event_exports_equal_the_reference_exporters(net):
     _assert_exports_match_reference(net)
+
+
+def _typed(e):
+    """Whether the skeleton of ``e`` is one the JSONL export writes."""
+    return (type(e.event_id) is int and type(e.target) is int and type(e.key) is str
+            and type(e.state_version) is int and all(type(c) is int for c in e.causes))
+
+
+@settings(max_examples=80)
+@given(_networks(hand_made=True))
+def test_hand_made_event_exports_equal_the_reference_or_are_refused(net):
+    # their params are all json writes itself, so only the skeleton decides
+    untyped = [e for e in net.events if not _typed(e)]
+    if untyped:
+        with pytest.raises(ValueError,
+                           match=f"^event {re.escape(repr(untyped[0].event_id))} cannot be exported: "):
+            ev.export(net, "jsonl")
+    else:
+        assert ev.export(net, "jsonl") == _reference_jsonl(net)
+    assert _rendered(lambda n: ev.export(n, "dot"), net) == _rendered(_reference_dot, net)
+
+
+class _Opaque:
+    pass
+
+
+_in_itself = {"n": 1}
+_in_itself["self"] = _in_itself
+
+# (field of a hand-appended Event, value outside the rule of docs/formats.md)
+_REFUSED = [
+    ("event_id", True), ("target", "1"), ("causes", frozenset({True})),
+    ("params", {"tags": {"a", "b"}}), ("params", {"x": [_Opaque()]}),
+    ("params", {10: 1, "a": 0}), ("params", _in_itself),
+]
+
+
+@pytest.mark.parametrize("accelerated", [True, False], ids=["c", "python"])
+@pytest.mark.parametrize("field, value", _REFUSED,
+                         ids=["bool-id", "str-target", "bool-cause", "set", "opaque",
+                              "unsortable-keys", "in-itself"])
+def test_export_refuses_an_event_outside_the_trace_types(monkeypatch, accelerated,
+                                                          field, value):
+    good = ev.EventNetwork()
+    good.record(1, "k", {"fs": parse_fs("{case: nom|acc}"), "keys": {10: 1, 2: None}}, [], 0)
+    good.record(2, "k", {"pair": (1, "a"), "nested": [{"b": 2.5}]}, [0], 1)
+    text = ev.export(good, "jsonl")
+    if not accelerated:
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    net = ev.EventNetwork()
+    net.record(1, "k", {"n": 1}, [], 0)
+    fields = dict(event_id=1, target=1, key="k", params={}, causes=frozenset({0}),
+                  state_version=0)
+    fields[field] = value
+    net.events.append(ev.Event(**fields))
+    with pytest.raises(ValueError, match=f"^event {fields['event_id']!r} cannot be exported: "):
+        ev.export(net, "jsonl")
+    assert ev.export(good, "jsonl") == text
 
 
 def _one_key_kind_dicts(values):
@@ -459,48 +519,46 @@ def test_params_with_scalar_keys_and_tuples_are_written_as_json_dumps_writes_the
     _assert_exports_match_reference(net)
 
 
-def _exported_or_error(export, net):
-    try:
-        return export(net)
-    except ValueError as err:
-        return type(err), str(err)
-
-
 @pytest.mark.parametrize("accelerated", [True, False])
 def test_params_that_contain_themselves_fail_as_in_json_dumps(monkeypatch, accelerated):
+    # json.dumps raises ValueError for them; the export refuses the event
     if not accelerated:
         monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-        monkeypatch.setattr(ev, "_c_make_encoder", None)
     in_itself = [1]
     in_itself.append(in_itself)
     two_deep = {"a": 1}
     two_deep["inner"] = {"back": two_deep}
-    circular = (ValueError, "Circular reference detected")
     for params in ({"loop": in_itself}, two_deep):
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            json.dumps(params, sort_keys=True)
         first = ev.EventNetwork()
         first.record(0, "k", params, [], 0)
         second = ev.EventNetwork()
         second.record(0, "k", {"n": 1}, [], 0)
         second.record(0, "k", params, [0], 0)
         for net in (first, second):
-            assert (_exported_or_error(lambda n: ev.export(n, "jsonl"), net)
-                    == _exported_or_error(_reference_jsonl, net) == circular)
+            looped = len(net.events) - 1
+            with pytest.raises(ValueError, match=f"^event {looped} cannot be exported: "):
+                ev.export(net, "jsonl")
 
 
-def test_a_dict_shared_twice_in_one_params_is_written_twice():
-    # acyclic, so neither json.dumps nor the export may refuse it, also
-    # when a dict with keys json refuses sends the event down the slow path
+def test_a_dict_shared_twice_in_one_params_is_written_twice(monkeypatch):
+    # acyclic, so neither json.dumps nor the export may refuse it, with or
+    # without json's C accelerator
     shared = {"b": [1, 2]}
     net = ev.EventNetwork()
     net.record(0, "k", {"x": shared, "y": [shared, shared]}, [], 0)
-    net.record(0, "k", {"x": shared, "z": {1: shared, "s": 0}}, [0], 0)
+    net.record(0, "k", {"x": shared, "z": {1: shared, 2: [shared]}}, [0], 0)
+    text = ev.export(net, "jsonl")
     params = [line[line.index('"params": ') + 10:line.rindex(', "stateVersion": ')]
-              for line in ev.export(net, "jsonl").splitlines()]
+              for line in text.splitlines()]
     assert params == [
         '{"x": {"b": [1, 2]}, "y": [{"b": [1, 2]}, {"b": [1, 2]}]}',
-        '{"x": {"b": [1, 2]}, "z": {"1": {"b": [1, 2]}, "s": 0}}',
+        '{"x": {"b": [1, 2]}, "z": {"1": {"b": [1, 2]}, "2": [{"b": [1, 2]}]}}',
     ]
-    assert params[0] == json.dumps(net.events[0].params, sort_keys=True)
+    assert params == [json.dumps(e.params, sort_keys=True) for e in net.events]
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    assert ev.export(net, "jsonl") == text
 
 
 @pytest.mark.slow
@@ -516,7 +574,7 @@ def test_run_exports_equal_the_reference_exporters_over_a_wide_sweep(
             for seed in seeds:
                 _system, net, _trees = pt.run_parse(demo_lexicon, kb, tokens, seed=seed,
                                                     mode=mode, debug_checks=False)
-                _assert_exports_match_reference(net, rt._render_value)
+                _assert_exports_match_reference(net, fs_text)
 
 
 # -- comparison ----------------------------------------------------------------

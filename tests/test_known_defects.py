@@ -53,3 +53,22 @@ def test_f4_determiner_case_clash_reads_like_the_oracle(demo_lexicon, demo_kb):
     tokens = "Compaq liefert einer Harddisk".split()
     _system, _net, trees = pt.run_parse(demo_lexicon, demo_kb, tokens, seed=0)
     assert _readings(trees) == _readings(oracle_parse(demo_lexicon, demo_kb, tokens))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="F5: a final homonym whose two readings can both attach "
+                          "loses its reading")
+def test_f5_final_homonym_keeps_its_reading_in_parallel_mode(demo_lexicon, demo_kb):
+    tokens = "mit Atari".split()
+    _system, _net, trees = pt.run_parse(demo_lexicon, demo_kb, tokens, seed=0,
+                                        mode="parallel")
+    assert _readings(trees) == _readings(oracle_parse(demo_lexicon, demo_kb, tokens))
+
+
+@pytest.mark.xfail(strict=True, raises=rt.HandlerFailure,
+                   reason="F5: a final homonym whose two readings can both attach "
+                          "crashes the fringe debug check")
+def test_f5_final_homonym_keeps_its_reading_in_sequential_mode(demo_lexicon, demo_kb):
+    tokens = "mit Atari".split()
+    _system, _net, trees = pt.run_parse(demo_lexicon, demo_kb, tokens, seed=0)
+    assert _readings(trees) == _readings(oracle_parse(demo_lexicon, demo_kb, tokens))

@@ -313,13 +313,30 @@ def test_a_parse_leaves_the_shared_behaviors_as_built(demo_lexicon, permissive_k
         assert shared._allowed == fresh._allowed
 
 
-def test_each_surface_is_resolved_once_per_parse(demo_lexicon, demo_kb):
+def test_each_surface_is_resolved_once_per_parse(monkeypatch, demo_lexicon, demo_kb):
     tokens = "Compaq liefert einen Rechner".split() + 2 * "mit einer Harddisk".split()
-    system, _, _ = pt.run_parse(demo_lexicon, demo_kb, tokens, log_requests=True)
-    # the request log still shows every lookup, answered or not from the cache
-    logged = [args for calls in system.request_log.values()
-              for service, args, _ in calls if service == "resolve_entry"]
-    assert logged == [[t] for t in tokens]
+    resolved = []
+    resolve_entry = lx.resolve_entry
+
+    def resolving(lexicon, surface):
+        resolved.append(surface)
+        return resolve_entry(lexicon, surface)
+
+    monkeypatch.setattr(lx, "resolve_entry", resolving)
+    system, scanner = pt.build_system(demo_lexicon, demo_kb, tokens)
+    service = system.services["resolve_entry"]
+    looked_up = []
+
+    def looking_up(surface):
+        looked_up.append(surface)
+        return service(surface)
+
+    system.services["resolve_entry"] = looking_up
+    system.kick(scanner, pt.SCAN_NEXT)
+    system.run_to_quiescence()
+    # every token is looked up through the service, each surface resolved once
+    assert looked_up == tokens
+    assert resolved == list(dict.fromkeys(tokens))
 
 
 def test_resolved_entries_do_not_outlive_the_parse(demo_lexicon, demo_kb):

@@ -194,7 +194,7 @@ def test_a_kept_context_cannot_request():
 
 def test_a_kept_context_cannot_request_during_another_delivery():
     # a's context, kept past a's delivery, must not call a service while b
-    # is being served: the call would be logged under b's event
+    # is being served: the call would be made during b's event
     kept = []
 
     def keep(ctx, env):
@@ -203,7 +203,7 @@ def test_a_kept_context_cannot_request_during_another_delivery():
     def go(ctx, env):
         kept[0].request("double", 3)
 
-    system = rt.System(log_requests=True)
+    system = rt.System()
     system.register_service("double", lambda x: 2 * x)
     system.register_behavior(rt.BehaviorDef(
         name="both", handlers={"ping": keep, "go": go},
@@ -217,7 +217,6 @@ def test_a_kept_context_cannot_request_during_another_delivery():
                        match=r"request\('double'\) outside a computation event of its own: "
                              r"a context can call services only during its own delivery"):
         system.run_to_quiescence()
-    assert system.request_log == {}
     assert [(e.target, e.key) for e in system.net.events[2:]] == [(a, "ping"), (b, "go")]
 
 
@@ -493,54 +492,37 @@ def test_initiator_is_rendered_into_params():
     assert pong.params["initiator"] == a
 
 
-class Tag(str):
+class Opaque:
     pass
 
 
-class Opaque:
-    def __str__(self):
-        return "<opaque>"
-
-
-def test_render_value_outside_the_plain_types():
-    fs = parse_fs("{agr: {num: sg}, case: nom|acc}")
-    tag = Tag("x")
-    assert rt._render_value((3, "a", None)) == [3, "a", None]
-    assert rt._render_value({"b", "a"}) == ["a", "b"]
-    assert rt._render_value(frozenset({2, 1})) == [1, 2]
-    assert rt._render_value(True) is True
-    assert rt._render_value(None) is None
-    text = "{agr: {num: sg}, case: acc|nom}"
-    assert rt._render_value(fs) == text
-    assert rt._render_value({"p": [fs, (fs,)]}) == {"p": [text, [text]]}
-    assert rt._render_value({1: "one", None: [False]}) == {"1": "one", "None": [False]}
-    assert rt._render_value(tag) is tag
-    assert rt._render_value(Opaque()) == "<opaque>"
-    assert rt._render_value([Opaque(), {Tag("k"): 2.5}]) == ["<opaque>", {"k": "2.5"}]
-
-
 def test_export_writes_hand_made_params():
-    """Events keep params unrendered; the export writes them.  json writes
-    what it can itself (a float as a number, a None key as "null", int keys
-    in numeric order); a feature structure becomes its text, a set a sorted
-    list, any other object its str().  Only a dict whose keys json refuses
-    (a tuple key, or int and str keys together) has its keys written as
-    text and sorted as text; the rest of that event is written as json
-    writes it."""
+    """Events keep params unrendered; the export writes them as json.dumps
+    with sorted keys does (a float as a number, a tuple as an array, a None
+    key as "null", int keys in numeric order) and a feature structure as
+    its text.  A set, or any other object json cannot write itself, makes
+    the export raise instead."""
     fs = parse_fs("{case: nom|acc}")
 
     def starter(ctx, env):
-        ctx.send(ctx.actor_id, "show", fs=fs, pair=(1, "a"), tags={"b", "a"},
-                 opaque=Opaque(), ratio=2.5, nothing={None: [False]}, counts={10: 1, 2: 0})
-        ctx.send(ctx.actor_id, "show", initiator=ctx.actor_id, keyed={("a", 1): fs},
-                 mixed={10: 2.5, 2: None, "a": 0}, counts={10: 1, 2: 0}, ratio=2.5)
+        ctx.send(ctx.actor_id, "show", fs=fs, pair=(1, "a"), ratio=2.5,
+                 nothing={None: [False]}, counts={10: 1, 2: 0})
+        ctx.send(ctx.actor_id, "show", initiator=ctx.actor_id, nested={"p": [fs, (fs,)]},
+                 mixed={10: 2.5, 2: None}, counts={10: 1, 2: 0}, ratio=2.5)
 
     assert _shown_params(_show_run(starter)) == [
         '{"counts": {"2": 0, "10": 1}, "fs": "{case: acc|nom}", "nothing": {"null": [false]}, '
-        '"opaque": "<opaque>", "pair": [1, "a"], "ratio": 2.5, "tags": ["a", "b"]}',
-        '{"counts": {"2": 0, "10": 1}, "initiator": 1, "keyed": {"(\'a\', 1)": "{case: acc|nom}"}, '
-        '"mixed": {"10": 2.5, "2": null, "a": 0}, "ratio": 2.5}',
+        '"pair": [1, "a"], "ratio": 2.5}',
+        '{"counts": {"2": 0, "10": 1}, "initiator": 1, "mixed": {"2": null, "10": 2.5}, '
+        '"nested": {"p": ["{case: acc|nom}", ["{case: acc|nom}"]]}, "ratio": 2.5}',
     ]
+
+    for value, refused in (({"b", "a"}, "set"), (Opaque(), "Opaque")):
+        def sends_it(ctx, env):
+            ctx.send(ctx.actor_id, "show", fs=fs, value=value)
+
+        with pytest.raises(ValueError, match=f"^event 2 cannot be exported: params hold a {refused},"):
+            ev.export(_show_run(sends_it), "jsonl")
 
 
 def _show_run(starter):
@@ -563,23 +545,22 @@ def _shown_params(net):
 
 
 def test_export_keeps_no_encoder_state_between_lines(monkeypatch):
-    """One export writes every line through one encoder.  The state that
-    encoder keeps, its record of the dicts it is inside, must not outlive a
-    line: a refused dict sent twice is written the same both times, a
-    params dict that contains itself fails as in json.dumps without
+    """One export writes every line through one encoder, which must keep
+    no state from one line to the next: a dict sent twice is written the
+    same both times, params that contain themselves are refused without
     touching the next export, and without json's C accelerator the bytes
     are the same."""
-    refused = {10: 2.5, "a": 0}
+    shared = {10: 2.5, 2: None}
 
     def starter(ctx, env):
-        ctx.send(ctx.actor_id, "show", mixed=refused)
-        ctx.send(ctx.actor_id, "show", mixed=refused, rows=[{"b": [{"c": 1}]}, {"a": None}])
+        ctx.send(ctx.actor_id, "show", mixed=shared)
+        ctx.send(ctx.actor_id, "show", mixed=shared, rows=[{"b": [{"c": 1}]}, {"a": None}])
 
     net = _show_run(starter)
     text = ev.export(net, "jsonl")
     assert _shown_params(net) == [
-        '{"mixed": {"10": 2.5, "a": 0}, "rows": [{"b": [{"c": 1}]}, {"a": null}]}',
-        '{"mixed": {"10": 2.5, "a": 0}}',
+        '{"mixed": {"2": null, "10": 2.5}, "rows": [{"b": [{"c": 1}]}, {"a": null}]}',
+        '{"mixed": {"2": null, "10": 2.5}}',
     ]
 
     looped = ev.EventNetwork()
@@ -588,12 +569,13 @@ def test_export_keeps_no_encoder_state_between_lines(monkeypatch):
     looped.record(0, "show", params, (), 0)
     with pytest.raises(ValueError, match="Circular reference detected"):
         json.dumps(params)
-    with pytest.raises(ValueError, match="Circular reference detected"):
+    with pytest.raises(ValueError, match="^event 0 cannot be exported: "):
         ev.export(looped, "jsonl")
     assert ev.export(net, "jsonl") == text
 
     monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-    monkeypatch.setattr(ev, "_c_make_encoder", None)
+    with pytest.raises(ValueError, match="^event 0 cannot be exported: Circular reference detected"):
+        ev.export(looped, "jsonl")
     assert ev.export(net, "jsonl") == text
 
 

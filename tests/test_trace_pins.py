@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import DEMO_SENTENCE, corpus_cases
+from helpers import DEMO_SENTENCE, corpus_cases, fs_text
 
 from wordactors import events as ev
 from wordactors import protocol as pt
@@ -100,7 +100,8 @@ def test_sweep_exports_are_pinned(demo_lexicon, demo_kb, permissive_kb):
 # params value as it is at the end of the run.  Each delivery's params,
 # rendered the moment they are delivered, must equal the exported ones: a
 # handler that mutates a sent or received value, or an encoder that writes
-# protocol traffic differently from ``_render_value``, fails here.
+# protocol traffic differently from ``json.dumps`` with a hook that writes
+# feature structures as their text, fails here.
 # The pins hold a splitting ppchain run in parallel mode; one in sequential
 # mode is added.
 SNAPSHOT_RUNS = [pin[:4] for pin in PINS] + [(PP3, "demo_kb", "sequential", 0)]
@@ -118,8 +119,8 @@ def test_exported_params_equal_their_delivery_snapshots(request, monkeypatch, de
         if envelope.initiator is not None:
             params["initiator"] = envelope.initiator
         # _execute records the event first, so it gets the next id
-        snapshots[len(system.net.events)] = json.dumps(rt._render_value(params),
-                                                       sort_keys=True)
+        snapshots[len(system.net.events)] = json.dumps(params, sort_keys=True,
+                                                       default=fs_text)
         return execute(system, target, envelope, cause)
 
     monkeypatch.setattr(rt.System, "_execute", snapshot_then_execute)
@@ -134,30 +135,6 @@ def test_exported_params_equal_their_delivery_snapshots(request, monkeypatch, de
             start = line.index('"params": ') + len('"params": ')
             end = line.rindex(', "stateVersion": ')
             assert line[start:end] == snapshots[event_id], event_id
-
-
-def test_delivery_renders_nothing(monkeypatch, demo_lexicon, demo_kb):
-    """Rendering happens at export; a parse without a request log calls no
-    renderer.  The same run with the log on shows that the count works."""
-    def calls_during_run(log_requests):
-        calls = []
-        render = rt._render_value
-
-        def counting(value):
-            calls.append(1)
-            return render(value)
-
-        system, scanner = pt.build_system(demo_lexicon, demo_kb, list(PP3), seed=0,
-                                          mode="parallel", log_requests=log_requests)
-        system.kick(scanner, pt.SCAN_NEXT)
-        with monkeypatch.context() as patch:
-            patch.setattr(rt, "_render_value", counting)
-            system.run_to_quiescence()
-        assert len(system.shared["readings"].parent) > 1   # the run splits
-        return len(calls)
-
-    assert calls_during_run(log_requests=False) == 0
-    assert calls_during_run(log_requests=True) > 0
 
 
 @pytest.mark.parametrize("mode", ["sequential", "parallel"])
@@ -187,5 +164,5 @@ def test_export_builds_no_encoder_per_line(monkeypatch, demo_lexicon, demo_kb, m
     count, text = calls_during_export()
     assert count == 0
     with monkeypatch.context() as patch:
-        patch.setattr(ev, "_c_make_encoder", None)
+        patch.setattr(json.encoder, "c_make_encoder", None)
         assert calls_during_export() == (len(net.events), text)
