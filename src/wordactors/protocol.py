@@ -18,7 +18,7 @@ only route messages and keep actor-local state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cache
+from functools import cache, partial
 from typing import Optional
 
 from . import events as ev
@@ -167,6 +167,8 @@ def _registry(ctx) -> ReadingRegistry:
 
 
 def _slot_is_free(slot, reg, context):
+    if not slot.fills:
+        return True
     seen = reg.ancestors_or_self(context)
     for f in slot.fills:
         if f.reading in seen:
@@ -185,6 +187,8 @@ def _visible_fills(state, reg, context):
 
 
 def _governing_link(state, reg, context) -> Optional[HeadLink]:
+    if not state.head_links:
+        return None
     seen = reg.ancestors_or_self(context)
     best = None
     for link in state.head_links:
@@ -847,10 +851,8 @@ def build_system(lexicon, kb, tokens, *, seed=0, mode="sequential",
     system.register_behavior(word_behavior())
     system.register_behavior(scanner_behavior())
     system.register_service("unify", ft.unify)
-    system.register_service("subclass_of",
-                            lambda sub, sup: lx.subclass_of(lexicon, sub, sup))
-    system.register_service("role_permits",
-                            lambda h, r, f: cn.role_permits(kb, h, r, f))
+    system.register_service("subclass_of", partial(lx.subclass_of, lexicon))
+    system.register_service("role_permits", partial(cn.role_permits, kb))
     # The lexicon may change between parses, so the resolved entries are
     # kept for this system only.
     resolved = {}
@@ -893,8 +895,11 @@ def _effective_link(system, reg, actor, context):
     """The governing link of an actor, or failing that of the actor it was
     copied from.  A copy made on the offerer's side of a split keeps its
     original's attachment: only the re-rooted phrase changes heads."""
-    seen = set()
-    a = actor
+    link = _governing_link(actor.state, reg, context)
+    if link is not None or actor.state.origin_of is None:
+        return link
+    seen = {actor.actor_id}
+    a = system.actors.get(actor.state.origin_of)
     while a is not None and a.actor_id not in seen:
         seen.add(a.actor_id)
         link = _governing_link(a.state, reg, context)
@@ -909,17 +914,27 @@ def read_out_trees(system) -> list:
     """One ParseTree per reading that materializes as a complete, single
     rooted, projective tree with all mandatory valencies filled."""
     reg = system.shared["readings"]
-    words = _word_actors(system)
-    positions = list(range(1, _scanner_state(system).spawned + 1))
-    actor_pos = {a.actor_id: a.state.position for a in words}
-    by_tag = {}
-    for a in words:
-        by_tag.setdefault(a.state.reading, []).append(a)
+    # One walk over the actors, in actor-id order: the tie rule of
+    # _materialize depends on that order, and every visible list keeps it.
+    words, actor_pos, tags = [], {}, set()
+    scanner = None
+    for a in system.actors.values():
+        name = a.behavior.name
+        if name == "word":
+            st = a.state
+            words.append(a)
+            actor_pos[a.actor_id] = st.position
+            tags.add(st.reading)
+        elif name == "scanner" and scanner is None:
+            scanner = a.state
+    positions = list(range(1, scanner.spawned + 1))
     out = []
     for tag in sorted(reg.parent):
-        # actor-id order, as in system.actors: the tie rule depends on it
-        visible = sorted((a for t in reg.ancestors_or_self(tag) for a in by_tag.get(t, ())),
-                         key=lambda a: a.actor_id)
+        seen = reg.ancestors_or_self(tag)
+        if tags <= seen:
+            visible = words
+        else:
+            visible = [a for a in words if a.state.reading in seen]
         tree = _materialize(system, reg, visible, actor_pos, positions, tag)
         if tree is not None:
             out.append(tree)

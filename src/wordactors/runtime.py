@@ -278,6 +278,11 @@ class System:
     def _fill_batch(self) -> None:
         """Parallel mode: snapshot one round of deliveries to distinct actors."""
         pending = self.scheduler.pending
+        if len(pending) == 1:
+            # A shuffle of one index draws nothing: the lone envelope is
+            # the round, and the generator is left as it was.
+            self._batch = [pending.pop()]
+            return
         order = list(range(len(pending)))
         getrandbits = self._rng.getrandbits
         for i in range(len(order) - 1, 0, -1):   # random.shuffle(order)

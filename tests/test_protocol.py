@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import DEMO_EDGES, DEMO_SENTENCE, corpus_cases
 
+from wordactors import cli
 from wordactors import events as ev
 from wordactors import lexicon as lx
 from wordactors import protocol as pt
@@ -171,6 +172,25 @@ def test_withdrawn_offer_releases_the_receipt(demo_lexicon, demo_kb):
     assert len(retractions) == 1
     assert pt.read_out_trees(system) == []
     assert pt.check_invariants(system, system.net, ETN) == []
+
+
+@pytest.mark.parametrize("mode", ["sequential", "parallel"])
+def test_a_natural_run_retracts_an_application(demo_lexicon, demo_kb, mode, capsys):
+    """`eine eine Harddisk`: the second determiner applies for the noun's
+    `spec` and is accepted; the search passes on to the first determiner,
+    which applies for `spec` too, from the profile the search carries.  The
+    noun, whose `spec` is taken by then, retracts that application.  The
+    episode still closes, and there is no reading, as in the reference."""
+    tokens = "eine eine Harddisk".split()
+    assert oracle_parse(demo_lexicon, demo_kb, tokens) == []
+    for seed in range(100):
+        system, net, trees = pt.run_parse(demo_lexicon, demo_kb, tokens, seed=seed,
+                                          mode=mode)
+        assert [e.key for e in net.events].count(pt.HEAD_RETRACTED) == 1, seed
+        assert trees == [], seed
+        assert pt.check_invariants(system, net, ETN) == [], seed
+    assert cli.main(["parse", "--mode", mode, *tokens]) == 2
+    assert "no complete reading" in capsys.readouterr().err
 
 
 def test_fringe_discipline_is_checked_on_every_search(monkeypatch, demo_lexicon, demo_kb):

@@ -304,6 +304,25 @@ def test_parallel_rounds_are_shuffles():
             assert system.deliver_next() is None
 
 
+def test_a_round_of_one_envelope_draws_nothing():
+    # random.shuffle of one index draws no bits, so a round that holds one
+    # envelope is that envelope and leaves the generator as it was.
+    for seed in range(200):
+        system = fresh_system(seed=seed, mode="parallel")
+        a = system.spawn("counter", "a", CounterState())
+        for n in range(3):
+            system.kick(a, "ping", {"n": n, "chain": 1})
+            before = system._rng.getstate()
+            event = system.deliver_next()
+            assert (event.target, event.params["n"], event.params["chain"]) == (a, n, 1)
+            assert system._rng.getstate() == before, seed
+            # the envelope it sent is the next lone round
+            event = system.deliver_next()
+            assert (event.target, event.params["n"], event.params["chain"]) == (a, n, 0)
+            assert system._rng.getstate() == before, seed
+            assert system.deliver_next() is None
+
+
 def _reference_round(pending, rng):
     """A parallel round as first written: shuffle the indices, take the
     first envelope per target, rebuild the pool from the indices not taken.
