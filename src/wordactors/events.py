@@ -265,6 +265,9 @@ def _events_jsonl(net: EventNetwork) -> str:
     # key order; the params of every line go through one encoder built for
     # the export.  That C encoder keeps no circular-reference record, so
     # params that contain themselves overflow its recursion guard instead.
+    # A forwarded message keeps its cause's params dict, so an event whose
+    # one cause sits at a list position already written and holds that very
+    # dict takes its text: equal objects give equal text, whatever the ids.
     # An event outside the rule of docs/formats.md raises ValueError.
     make_encoder = json.encoder.c_make_encoder
     encode_str = json.encoder.encode_basestring_ascii
@@ -274,9 +277,11 @@ def _events_jsonl(net: EventNetwork) -> str:
         make_encoder(None, _json_default, encode_str, None, ": ", ", ", True, False, True)
         if make_encoder
         else json.JSONEncoder(sort_keys=True, default=_json_default).iterencode)
+    events = net.events
+    texts = []      # the params text of each list position
     lines = []
     append = lines.append
-    for e in net.events:
+    for position, e in enumerate(events):
         event_id, target, key, version = e.event_id, e.target, e.key, e.state_version
         try:
             if not (type(event_id) is int and type(target) is int
@@ -284,16 +289,21 @@ def _events_jsonl(net: EventNetwork) -> str:
                 raise TypeError("its id, target and stateVersion must be ints "
                                 "and its key a str")
             causes = e.causes
+            params = None
             if not causes:
                 written = ""
             elif len(causes) == 1:
                 (cause,) = causes
                 written = _json_int(cause)
+                if 0 <= cause < position and events[cause].params is e.params:
+                    params = texts[cause]
             else:
                 written = ", ".join(map(_json_int, sorted(causes)))
-            params = "".join(encode_params(e.params, 0))
+            if params is None:
+                params = "".join(encode_params(e.params, 0))
         except (TypeError, ValueError, RecursionError) as err:
             raise ValueError(f"event {event_id!r} cannot be exported: {err}") from err
+        texts.append(params)
         append(f'{{"causes": [{written}], "id": {event_id}, "key": {encode_str(key)}, '
                f'"params": {params}, "stateVersion": {version}, "target": {target}}}\n')
     return "".join(lines)

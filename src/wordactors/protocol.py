@@ -303,7 +303,7 @@ def pre_search_head(ctx, env):
     on to its head before looking at it."""
     link = _governing_link(ctx.state, _registry(ctx), env.params["profile"]["reading"])
     if link is not None:
-        ctx.send(link.head, SEARCH_HEAD, **env.params)
+        ctx.forward(link.head, env)
 
 
 def on_search_head(ctx, env):
@@ -632,12 +632,13 @@ def on_update_features(ctx, env):
         raise ProtocolError(f"{state.surface}: feature update no longer unifies")
     state.features = merged
     ctx.bump()
-    _narrow_modifiers(ctx, env.params["reading"], delta, env.initiator)
+    for _label, fill in _visible_fills(state, _registry(ctx), env.params["reading"]):
+        ctx.forward(fill.filler, env)
 
 
 def _narrow_modifiers(ctx, context, delta, episode):
-    """Pass a feature restriction on to the own modifiers visible in the
-    reading."""
+    """Start passing a feature restriction on to the own modifiers visible
+    in the reading; each of them forwards it on to its own."""
     for _label, fill in _visible_fills(ctx.state, _registry(ctx), context):
         ctx.send(fill.filler, UPDATE_FEATURES, initiator=episode,
                  delta=delta, reading=context)
@@ -1049,7 +1050,10 @@ def _assert_on_fringe(ctx, profile):
             link = _governing_link(node.state, reg, context)
             node = ctx.system.actors.get(link.head) if link is not None else None
     raise ProtocolError(
-        f"{ctx.state.surface}: searchHead reached a word outside the search fringe")
+        f"{own.surface}: searchHead reached a word outside the search fringe "
+        f"(receiver at position {own.position}, left_edge {own.left_edge}, "
+        f"right_edge {own.right_edge}, reading {own.reading}; "
+        f"search in reading {context}, border {border})")
 
 
 def check_invariants(system, net=None, etn=None) -> list:

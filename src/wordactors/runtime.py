@@ -5,10 +5,12 @@ goes into a pending pool and is delivered later, in an order chosen by a
 seeded random number generator, so arrival order is unpredictable in
 principle yet exactly reproducible per seed.  Delivering one envelope runs,
 atomically: the receiving behavior's pre-distribution rule (which may
-forward copies of the message), the handler itself (the computation), and
-the post-distribution rule.  Every arrival is recorded as one event whose
-causes are the events that posted the message.  The event keeps the params
-dict of the message itself, the initiator included; nothing is copied or
+forward the message), the handler itself (the computation), and the
+post-distribution rule.  Distribution rules forward the message itself,
+not a copy, with ``Context.forward``.  Every arrival is recorded as one
+event whose causes are the events that posted the message.  The event
+keeps the params dict of the message itself, the initiator included, so
+the event of a forwarded message holds its cause's dict; nothing is copied or
 rendered during delivery.  The JSONL export writes them as json writes them,
 a feature structure as its text, and refuses any other value.
 
@@ -168,20 +170,38 @@ class Context:
         """
         system = self.system
         event = self._event
-        if system._current_event != event:
-            if system._current_event is None:
-                raise ContractViolation(
-                    "messages can only be sent from inside a computation event")
-            raise ContractViolation(
-                f"the context of event {event} sent {key!r} during event "
-                f"{system._current_event}; it can only send during its own delivery")
-        if key not in self._allowed:
-            raise ContractViolation(
-                f"behavior {self.actor.behavior.name!r} emitted undeclared key {key!r} "
-                f"while handling {system.net.events[event].key!r}")
+        if system._current_event != event or key not in self._allowed:
+            self._refuse(key)
         if initiator is not None:
             params["initiator"] = initiator
         system.post(target, key, params, initiator, event)
+
+    def forward(self, target: int, envelope: MessageEnvelope) -> None:
+        """Post ``envelope``, the message being delivered, on to ``target``
+        unchanged: the same key, the same params dict and the same
+        initiator.  Its event keeps that dict, as the event of the delivery
+        does.  The checks are those of ``send``."""
+        system = self.system
+        event = self._event
+        key = envelope.key
+        if system._current_event != event or key not in self._allowed:
+            self._refuse(key)
+        system.post(target, key, envelope.params, envelope.initiator, event)
+
+    def _refuse(self, key: str) -> None:
+        """Raise why this context may not send ``key`` now."""
+        system = self.system
+        event = self._event
+        if system._current_event is None:
+            raise ContractViolation(
+                "messages can only be sent from inside a computation event")
+        if system._current_event != event:
+            raise ContractViolation(
+                f"the context of event {event} sent {key!r} during event "
+                f"{system._current_event}; it can only send during its own delivery")
+        raise ContractViolation(
+            f"behavior {self.actor.behavior.name!r} emitted undeclared key {key!r} "
+            f"while handling {system.net.events[event].key!r}")
 
     def spawn(self, behavior_name: str, display_name: str, state: ActorState) -> int:
         """Create an actor; its creation event is caused by this context's
@@ -255,7 +275,7 @@ class System:
         already hold the initiator, as ``Context.send`` makes them."""
         if target not in self.actors:
             raise ContractViolation(f"post to unknown actor {target}")
-        env = MessageEnvelope(key, params or {}, initiator)
+        env = MessageEnvelope(key, {} if params is None else params, initiator)
         self.scheduler.pending.append((target, env, cause))
 
     def request(self, service: str, *args):

@@ -393,8 +393,11 @@ def _recorded_networks(draw):
     for _ in range(draw(st.integers(0, 8))):
         n = len(net.events)
         causes = draw(st.lists(st.integers(0, n - 1), max_size=3)) if n else []
-        net.record(draw(st.integers(0, 4)), draw(_texts),
-                   draw(st.dictionaries(_texts, _params, max_size=3)),
+        params = draw(st.dictionaries(_texts, _params, max_size=3))
+        if n and draw(st.booleans()):
+            # as a forwarded message does, share an earlier event's dict
+            params = net.events[draw(st.integers(0, n - 1))].params
+        net.record(draw(st.integers(0, 4)), draw(_texts), params,
                    causes, draw(st.integers(0, 9)))
     return net
 
@@ -559,6 +562,56 @@ def test_a_dict_shared_twice_in_one_params_is_written_twice(monkeypatch):
     assert params == [json.dumps(e.params, sort_keys=True) for e in net.events]
     monkeypatch.setattr(json.encoder, "c_make_encoder", None)
     assert ev.export(net, "jsonl") == text
+
+
+# A forwarded message keeps its cause's params dict, and the export writes
+# the text of such an event's params once.  Its ids need not be list
+# positions, and a hand-made cause may lie anywhere; each line must still be
+# json.dumps of its own record.
+
+def _assert_lines_are_their_records(net):
+    assert ev.export(net, "jsonl").splitlines() == _reference_jsonl(net, fs_text).splitlines()
+
+
+def _holds_its_causes_params(net, e):
+    return any(c.event_id in e.causes and c.params is e.params for c in net.events)
+
+
+def test_a_subnetwork_with_forwarded_searches_exports_its_records(demo_lexicon, demo_kb):
+    tokens = "Compaq entwickelt einen Notebook".split() + 2 * "mit einer Harddisk".split()
+    _system, net, _trees = pt.run_parse(demo_lexicon, demo_kb, tokens, seed=0)
+    forwarded = [e for e in net.events
+                 if e.key == pt.SEARCH_HEAD and _holds_its_causes_params(net, e)]
+    assert forwarded
+    sub = net.subnetwork(e.event_id for e in net.events if e.event_id % 3)
+    # ids are no longer list positions: a forwarded search kept with its
+    # cause, and one whose cause id lies past its own list position
+    assert any(_holds_its_causes_params(sub, e) for e in sub.events)
+    assert any(position <= min(e.causes) for position, e in enumerate(sub.events)
+               if len(e.causes) == 1)
+    _assert_lines_are_their_records(sub)
+
+
+def test_a_hand_made_event_holding_its_causes_params_exports_its_record():
+    params = {"delta": parse_fs("{case: acc}"), "reading": 0, "initiator": 3}
+    net = ev.EventNetwork()
+    net.record(1, "updateFeatures", params, [], 0)
+    net.record(2, "updateFeatures", params, [0], 1)
+    net.record(3, "updateFeatures", params, [1], 0)
+    net.record(2, "other", {"n": 1}, [2], 2)
+    net.record(4, "updateFeatures", params, [0, 1], 0)   # two causes
+    net.record(4, "updateFeatures", params, [3], 1)      # a cause with other params
+    _assert_lines_are_their_records(net)
+
+
+def test_a_hand_made_cause_beyond_the_event_list_is_written_as_it_is():
+    params = {"n": 1}
+    net = ev.EventNetwork()
+    net.events.append(ev.Event(0, 1, "k", params, frozenset({7}), 0))
+    net.events.append(ev.Event(1, 1, "k", params, frozenset({1}), 0))
+    net.events.append(ev.Event(2, 1, "k", params, frozenset({-2}), 0))
+    net.events.append(ev.Event(3, 1, "k", {"n": 2}, frozenset({-1}), 0))
+    _assert_lines_are_their_records(net)
 
 
 @pytest.mark.slow

@@ -389,8 +389,12 @@ def _full_scan_fringe_check(ctx, profile):
             hops.add(node.actor_id)
             link = pt._governing_link(node.state, reg, context)
             node = ctx.system.actors.get(link.head) if link is not None else None
+    own = ctx.state
     raise pt.ProtocolError(
-        f"{ctx.state.surface}: searchHead reached a word outside the search fringe")
+        f"{own.surface}: searchHead reached a word outside the search fringe "
+        f"(receiver at position {own.position}, left_edge {own.left_edge}, "
+        f"right_edge {own.right_edge}, reading {own.reading}; "
+        f"search in reading {context}, border {border})")
 
 
 def _full_scan_materialize(system, reg, words, positions, tag):
@@ -523,7 +527,10 @@ def test_rewritten_fringe_check_raises_where_the_full_scan_does(monkeypatch, dem
     with pytest.raises(rt.HandlerFailure, match="outside the search fringe"):
         scans.parse(demo_lexicon, demo_kb, tokens, seed=183)
     assert scans.mismatches() == []
-    assert scans.fringe[-1][1] is not None
+    # the refusal says where the search stood and which word it reached
+    assert scans.fringe[-1][1] == (
+        "mit: searchHead reached a word outside the search fringe (receiver at "
+        "position 5, left_edge 5, right_edge 7, reading 0; search in reading 0, border 5)")
 
 
 @st.composite

@@ -220,6 +220,91 @@ def test_a_kept_context_cannot_request_during_another_delivery():
     assert [(e.target, e.key) for e in system.net.events[2:]] == [(a, "ping"), (b, "go")]
 
 
+def _relay_system(seen, forwarded_keys=(("ping", False),)):
+    """a's pre-distribution rule forwards each ping on to b; a start sends
+    the first ping, with an initiator."""
+    def start(ctx, env):
+        ctx.send(ctx.actor_id, "ping", initiator=ctx.actor_id, n=1)
+
+    def pass_on(ctx, env):
+        following = ctx.state.acquaintances.get("next")
+        if following is not None:
+            ctx.forward(following, env)
+
+    def show(ctx, env):
+        seen.append((ctx.actor_id, env, ctx.system.net.events[ctx._event]))
+
+    system = rt.System()
+    system.register_behavior(rt.BehaviorDef(
+        name="relay", handlers={"start": start, "ping": show},
+        action_trees={"start": ev.Send("self", "ping"), "ping": ev.Seq()},
+        distribution_sends={"ping": forwarded_keys},
+        pre_distribution={"ping": pass_on}))
+    b = system.spawn("relay", "b", rt.ActorState())
+    a = system.spawn("relay", "a", rt.ActorState(acquaintances={"next": b}))
+    system.kick(a, "start")
+    return system, a, b
+
+
+def test_forward_posts_the_message_being_delivered():
+    seen = []
+    system, a, b = _relay_system(seen)
+    net = system.run_to_quiescence()
+    (at_a, env_a, event_a), (at_b, env_b, event_b) = seen
+    assert (at_a, at_b) == (a, b)
+    assert (env_b.key, env_b.params, env_b.initiator) == ("ping", {"n": 1, "initiator": a}, a)
+    assert env_b.params is env_a.params
+    # the forwarded event holds its cause's very dict
+    assert event_b.causes == {event_a.event_id}
+    assert event_b.params is event_a.params
+    assert ev.validate_trace(net, ev.derive_etn(system.behaviors.values())) == []
+
+
+def test_forward_of_an_undeclared_key_is_a_contract_violation():
+    system, _a, _b = _relay_system([], forwarded_keys=())
+    with pytest.raises(rt.ContractViolation,
+                       match="behavior 'relay' emitted undeclared key 'ping' "
+                             "while handling 'ping'"):
+        system.run_to_quiescence()
+
+
+def test_a_kept_context_cannot_forward():
+    ctx, a = _kept_context()
+    with pytest.raises(rt.ContractViolation,
+                       match="messages can only be sent from inside a computation event"):
+        ctx.forward(a, rt.MessageEnvelope("ping", {"n": 1}, None))
+    assert not ctx.system.scheduler.pending
+
+
+def test_a_kept_context_cannot_forward_during_another_delivery():
+    # a's context, kept past a's delivery, must not forward a's message
+    # while b is being served
+    kept = []
+
+    def keep(ctx, env):
+        kept.append((ctx, env))
+
+    def go(ctx, env):
+        kept_ctx, kept_env = kept[0]
+        kept_ctx.forward(kept_ctx.actor_id, kept_env)
+
+    system = rt.System()
+    system.register_behavior(rt.BehaviorDef(
+        name="both", handlers={"ping": keep, "go": go},
+        action_trees={"ping": ev.Send("self", "ping"), "go": ev.Send("self", "ping")}))
+    a = system.spawn("both", "a", rt.ActorState())
+    b = system.spawn("both", "b", rt.ActorState())
+    system.kick(a, "ping", {"n": 1})
+    system.run_to_quiescence()
+    system.kick(b, "go")
+    with pytest.raises(rt.ContractViolation,
+                       match=r"the context of event 2 sent 'ping' during event 3; "
+                             r"it can only send during its own delivery"):
+        system.run_to_quiescence()
+    assert not system.scheduler.pending
+    assert [(e.target, e.key) for e in system.net.events[2:]] == [(a, "ping"), (b, "go")]
+
+
 def test_delivery_order_is_scheduler_chosen():
     first_delivered = set()
     for seed in range(20):
