@@ -261,13 +261,8 @@ def main(argv=None) -> int:
     args = _build_argparser().parse_args(argv)
     try:
         return args.func(args)
-    except (lx.LexiconError, cn.KBError, ft.FSSyntaxError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (rt.ContractViolation, rt.LivelockError, rt.HandlerFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (lx.LexiconError, cn.KBError, ft.FSSyntaxError, rt.ContractViolation,
+            rt.LivelockError, rt.HandlerFailure, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

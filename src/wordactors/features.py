@@ -18,14 +18,20 @@ from typing import Iterator, Mapping, Optional, Union
 
 Value = Union[frozenset, "FeatureStructure"]
 
+# Attributes and atoms are the names of the token grammar below, so that
+# every structure's text reads back as that structure.
+_NAME = re.compile(r"[A-Za-z0-9_.+\-]+")
+
 class FeatureStructure:
     """An immutable attribute-to-value mapping.
 
     The public constructor accepts any mapping and normalizes it: attributes
     sorted, strings and collections turned into atom sets, nested mappings
-    into structures.  Unification and ``parse_fs`` build their results from
-    parts that are already canonical and skip that work.  The canonical text
-    is computed lazily by ``render_fs`` and cached in the structure; it never
+    into structures.  It raises ``ValueError`` for an attribute or atom that
+    is not a name (``[A-Za-z0-9_.+-]+``), as the text form could not write
+    it.  Unification and ``parse_fs`` build their results from parts that
+    are already canonical and skip that work.  The canonical text is
+    computed lazily by ``render_fs`` and cached in the structure; it never
     takes part in equality, hashing or pickling.  ``parse_fs`` reads that
     text back, and lexicon files write feature blocks in the same grammar.
     """
@@ -34,6 +40,8 @@ class FeatureStructure:
 
     def __init__(self, mapping: Mapping[str, object] = ()):
         source = dict(mapping)
+        for attr in source:
+            _check_name("attribute", attr)
         pairs = {}
         for attr in sorted(source):
             pairs[attr] = _coerce_value(attr, source[attr])
@@ -78,18 +86,25 @@ class FeatureStructure:
         return f"FeatureStructure({render_fs(self)!r})"
 
 
+def _check_name(what: str, name: object) -> None:
+    if not (isinstance(name, str) and _NAME.fullmatch(name)):
+        raise ValueError(f"{what} {name!r} is not a name ([A-Za-z0-9_.+-]+)")
+
+
 def _coerce_value(attr: str, value: object) -> Value:
-    """Normalize a user- or parser-supplied value into the internal form."""
+    """Normalize a user-supplied value into the internal form."""
     if isinstance(value, FeatureStructure):
         return value
     if isinstance(value, Mapping):
         return FeatureStructure(value)
     if isinstance(value, str):
-        return frozenset([value])
+        value = [value]
     if isinstance(value, (set, frozenset, list, tuple)):
         atoms = frozenset(str(a) for a in value)
         if not atoms:
             raise ValueError(f"attribute {attr!r}: empty atom set is not storable")
+        for atom in atoms:
+            _check_name(f"attribute {attr!r}: atom", atom)
         return atoms
     raise TypeError(f"attribute {attr!r}: unsupported value {value!r}")
 
@@ -162,7 +177,7 @@ _BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # the end of the text.
 _TOKEN = re.compile(
     rf'(?:[ \t{_BREAKS}]+|#[^{_BREAKS}]*)*'
-    rf'(?:([A-Za-z0-9_.+\-]+|"[^"#{_BREAKS}]*"|[{{}}:,|])|(.)|\Z)', re.S)
+    rf'(?:({_NAME.pattern}|"[^"#{_BREAKS}]*"|[{{}}:,|])|(.)|\Z)', re.S)
 
 
 class TokenReader:

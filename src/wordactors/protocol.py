@@ -21,7 +21,9 @@ from dataclasses import dataclass, field, replace
 from functools import cache, partial
 from typing import Optional
 
+from . import concepts as cn
 from . import events as ev
+from . import features as ft
 from . import runtime as rt
 from . import lexicon as lx
 from . import trees as tr
@@ -245,21 +247,60 @@ def _profile(state, reg, context) -> dict:
 
 
 def _admits(ctx, word_class, features, role, head_concept,
-            mod_class, mod_features, mod_concept):
+            mod_class, mod_features, mod_concept) -> bool:
     """The three non-directional checks of a valency, given by its word
     class, features and role, against a modifier: word class, morphology,
-    conceptual role.  Returns the unified morphology, or None."""
+    conceptual role, in that order."""
     if not ctx.request("subclass_of", mod_class, word_class):
-        return None
-    merged = ctx.request("unify", features, mod_features)
+        return False
+    if ctx.request("unify", features, mod_features) is None:
+        return False
+    return not role or (head_concept is not None and mod_concept is not None
+                        and ctx.request("role_permits", head_concept, role, mod_concept))
+
+
+# --------------------------------------------------------------------------
+# The three attachment steps: a word picks a valency for a phrase, records
+# a dependent in a valency, or takes a head.
+
+def _fitting_slot(ctx, direction, context, modifier) -> Optional[Slot]:
+    """The first own valency on the ``direction`` side that is empty in the
+    reading and admits the phrase a profile describes, or None."""
+    state, reg = ctx.state, _registry(ctx)
+    own_concept = _effective_concept(state, reg, context)
+    for slot in state.slots:
+        spec = slot.spec
+        if (spec.direction == direction and _slot_is_free(slot, reg, context)
+                and _admits(ctx, spec.modifier_word_class, spec.morph_constraint,
+                            spec.conceptual_role, own_concept, modifier["word_class"],
+                            modifier["features"], modifier["concept"])):
+            return slot
+    return None
+
+
+def _add_dependent(ctx, slot, fill):
+    """Record a dependent in one of the own valencies; the own phrase
+    widens to cover the dependent's."""
+    state = ctx.state
+    slot.fills.append(fill)
+    state.left_edge = min(state.left_edge, fill.left)
+    state.right_edge = max(state.right_edge, fill.right)
+    ctx.bump()
+
+
+def _take_head(ctx, context, head, label, constraints, episode) -> bool:
+    """Hang below ``head`` in its valency ``label`` of the reading: the own
+    features and those of the own modifiers narrow to the valency's
+    constraints.  False, with nothing changed, if they no longer unify."""
+    state = ctx.state
+    merged = ctx.request("unify", state.features, constraints)
     if merged is None:
-        return None
-    if role:
-        if head_concept is None or mod_concept is None:
-            return None
-        if not ctx.request("role_permits", head_concept, role, mod_concept):
-            return None
-    return merged
+        return False
+    state.features = merged
+    state.head_links.append(HeadLink(context, head, label))
+    ctx.bump()
+    _narrow_modifiers(ctx, context, constraints, episode)
+    return True
 
 
 # --------------------------------------------------------------------------
@@ -280,7 +321,7 @@ def _maybe_release_deferral(ctx, context):
     belongs to: a slot filled on a homonym's branch says nothing about the
     other branches, so each context releases (at most once) on its own."""
     state = ctx.state
-    if not state.deferred or state.origin_of is not None:
+    if not state.deferred:
         return
     if context in state.searches_launched:
         return
@@ -311,7 +352,7 @@ def on_search_head(ctx, env):
     profile = env.params["profile"]
     context = profile["reading"]
     candidate = env.params["candidate"]
-    episode = env.initiator
+    episode = env.params["initiator"]
 
     if ctx.shared.get("debug_checks"):
         _assert_on_fringe(ctx, profile)
@@ -322,29 +363,20 @@ def on_search_head(ctx, env):
     # First choice: one of the own empty rightward valencies fits the
     # candidate's phrase.  The receipt is withheld until the candidate
     # answers the offer.
+    slot = None
     if state.pending_offer is None:
-        own_concept = _effective_concept(state, reg, context)
-        for slot in state.slots:
-            if slot.spec.direction != lx.RIGHT or not _slot_is_free(slot, reg, context):
-                continue
-            spec = slot.spec
-            merged = _admits(ctx, spec.modifier_word_class, spec.morph_constraint,
-                             spec.conceptual_role, own_concept,
-                             profile["word_class"], profile["features"],
-                             profile["concept"])
-            if merged is None:
-                continue
-            state.pending_offer = HeldReceipt(
-                initiator=episode, candidate=candidate, valency=slot.spec.name,
-                reading=context, answered_by=ctx.actor_id,
-                distributed_to=distributed,
-                constraints=slot.spec.morph_constraint)
-            ctx.bump()
-            ctx.send(candidate, HEAD_FOUND, initiator=episode,
-                     role="offer", offerer=ctx.actor_id,
-                     valency=slot.spec.name,
-                     constraints=slot.spec.morph_constraint, reading=context)
-            return
+        slot = _fitting_slot(ctx, lx.RIGHT, context, profile)
+    if slot is not None:
+        spec = slot.spec
+        state.pending_offer = HeldReceipt(
+            initiator=episode, candidate=candidate, valency=spec.name,
+            reading=context, answered_by=ctx.actor_id,
+            distributed_to=distributed, constraints=spec.morph_constraint)
+        ctx.bump()
+        ctx.send(candidate, HEAD_FOUND, initiator=episode,
+                 role="offer", offerer=ctx.actor_id, valency=spec.name,
+                 constraints=spec.morph_constraint, reading=context)
+        return
 
     # Second choice: the reverse attachment.  An ungoverned receiver whose
     # own rightward obligations are met and whose phrase ends exactly where
@@ -356,10 +388,9 @@ def on_search_head(ctx, env):
             and state.right_edge == profile["left_edge"] - 1):
         own_concept = _effective_concept(state, reg, context)
         for spec in profile["left_slots"]:
-            merged = _admits(ctx, spec["word_class"], spec["features"], spec["role"],
-                             profile["concept"], state.word_class, state.features,
-                             own_concept)
-            if merged is None:
+            if not _admits(ctx, spec["word_class"], spec["features"], spec["role"],
+                           profile["concept"], state.word_class, state.features,
+                           own_concept):
                 continue
             state.pending_application = HeldReceipt(
                 initiator=episode, candidate=candidate, valency=spec["name"],
@@ -388,26 +419,20 @@ def _on_offer(ctx, env):
     state, reg = ctx.state, _registry(ctx)
     context = env.params["reading"]
     offerer = env.params["offerer"]
-    constraints = env.params["constraints"]
-    episode = env.initiator
+    episode = env.params["initiator"]
 
     if _governing_link(state, reg, context) is not None:
         _split_reading(ctx, env)
         return
 
-    merged = ctx.request("unify", state.features, constraints)
-    if merged is None:
+    if not _take_head(ctx, context, offerer, env.params["valency"],
+                      env.params["constraints"], episode):
         # The offer was computed against a profile that has since been
         # restricted by a concurrent attachment.  Withdraw; the offerer
         # still owes the episode a receipt.
         ctx.send(offerer, HEAD_RETRACTED, initiator=episode,
                  valency=env.params["valency"], reading=context)
         return
-
-    state.features = merged
-    state.head_links.append(HeadLink(context, offerer, env.params["valency"]))
-    ctx.bump()
-    _narrow_modifiers(ctx, context, constraints, episode)
     ctx.send(offerer, HEAD_ACCEPTED, initiator=episode,
              role="fills-your-slot", modifier=ctx.actor_id,
              valency=env.params["valency"], reading=context,
@@ -423,7 +448,7 @@ def _split_reading(ctx, env):
     under a fresh child reading and asks the offerer to re-stage the offer
     against the copy.
     """
-    episode = env.initiator
+    episode = env.params["initiator"]
     branch = _registry(ctx).new_child(env.params["reading"])
 
     twin, _left, _right = _spawn_copy(ctx, episode, branch, head_link=None, exclude=None)
@@ -470,35 +495,23 @@ def _spawn_copy(ctx, episode, branch, head_link, exclude, pending_offer=None):
 def _on_application(ctx, env):
     """The searching word rules on an application, authoritatively: the
     applicant judged from an advertised profile that may be stale."""
-    state, reg = ctx.state, _registry(ctx)
+    state = ctx.state
     context = env.params["reading"]
     applicant = env.params["applicant"]
     ap = env.params["profile"]
-    episode = env.initiator
+    episode = env.params["initiator"]
 
     chosen = None
     if ap["right_edge"] == state.left_edge - 1:
-        own_concept = _effective_concept(state, reg, context)
-        for slot in state.slots:
-            if slot.spec.direction != lx.LEFT or not _slot_is_free(slot, reg, context):
-                continue
-            spec = slot.spec
-            merged = _admits(ctx, spec.modifier_word_class, spec.morph_constraint,
-                             spec.conceptual_role, own_concept,
-                             ap["word_class"], ap["features"], ap["concept"])
-            if merged is not None:
-                chosen = slot
-                break
+        chosen = _fitting_slot(ctx, lx.LEFT, context, ap)
     if chosen is None:
         ctx.send(applicant, HEAD_RETRACTED, initiator=episode,
                  valency=env.params["valency"], reading=context)
         return
 
-    chosen.fills.append(Fill(context, applicant, ap["concept"],
-                             ap["left_edge"], ap["right_edge"]))
-    state.left_edge = ap["left_edge"]
+    _add_dependent(ctx, chosen, Fill(context, applicant, ap["concept"],
+                                     ap["left_edge"], ap["right_edge"]))
     state.left_exit = ap["left_exit"]
-    ctx.bump()
     ctx.send(applicant, HEAD_ACCEPTED, initiator=episode,
              role="accepts-your-application", head=ctx.actor_id,
              valency=chosen.spec.name, delta=chosen.spec.morph_constraint,
@@ -526,48 +539,35 @@ def _on_slot_filled(ctx, env):
 
     held = state.pending_offer
     if held is not None and held.candidate == p["modifier"] and held.valency == label:
-        slot.fills.append(Fill(p["reading"], p["modifier"], p["concept"],
-                               p["left_edge"], p["right_edge"]))
-        state.left_edge = min(state.left_edge, p["left_edge"])
-        state.right_edge = max(state.right_edge, p["right_edge"])
         state.pending_offer = None
-        ctx.bump()
+    elif label in state.expected_rebuilds:
+        state.expected_rebuilds.discard(label)
+        held = None
+    else:
+        raise ProtocolError(f"{state.surface}: acceptance for {label!r} without an open offer")
+
+    _add_dependent(ctx, slot, Fill(p["reading"], p["modifier"], p["concept"],
+                                   p["left_edge"], p["right_edge"]))
+    if held is not None:
         _release(ctx, held)
         _maybe_release_deferral(ctx, p["reading"])
-        return
-
-    if label in state.expected_rebuilds:
-        slot.fills.append(Fill(p["reading"], p["modifier"], p["concept"],
-                               p["left_edge"], p["right_edge"]))
-        state.left_edge = min(state.left_edge, p["left_edge"])
-        state.right_edge = max(state.right_edge, p["right_edge"])
-        state.expected_rebuilds.discard(label)
-        ctx.bump()
-        return
-
-    raise ProtocolError(f"{state.surface}: acceptance for {label!r} without an open offer")
 
 
 def _on_application_accepted(ctx, env):
     state = ctx.state
     p = env.params
     context = p["reading"]
-    episode = env.initiator
+    episode = p["initiator"]
 
     held = state.pending_application
     if held is None or held.candidate != p["head"]:
         raise ProtocolError(f"{state.surface}: acceptance without an open application")
     state.pending_application = None
 
-    merged = ctx.request("unify", state.features, p["delta"])
-    if merged is None:
+    if not _take_head(ctx, context, p["head"], p["valency"], p["delta"], episode):
         # Cannot happen through this protocol: nobody updates an ungoverned
         # word's features behind its back.
         raise ProtocolError(f"{state.surface}: accepted application no longer unifies")
-    state.features = merged
-    state.head_links.append(HeadLink(context, p["head"], p["valency"]))
-    ctx.bump()
-    _narrow_modifiers(ctx, context, p["delta"], episode)
 
     # The candidate's phrase now reaches further left; the search front
     # moves on to whatever borders this word on the left.
@@ -648,18 +648,14 @@ def on_copy_structure(ctx, env):
     """Copy self under a new reading, hanging below the copy of the head."""
     state, reg = ctx.state, _registry(ctx)
     p = env.params
-    branch, exclude = p["reading"], p["exclude"]
-    if exclude is not None and ctx.actor_id == exclude:
-        # This subtree re-roots elsewhere in the new reading; the copy
-        # request must not descend into it.
-        return
+    branch, episode = p["reading"], p["initiator"]
     link = _governing_link(state, reg, branch)
     if link is None:
         raise ProtocolError(f"{state.surface}: asked to copy but has no head")
-    twin, left, right = _spawn_copy(ctx, env.initiator, branch,
+    twin, left, right = _spawn_copy(ctx, episode, branch,
                                     head_link=HeadLink(branch, p["new_head"], link.label),
-                                    exclude=exclude)
-    ctx.send(p["new_head"], HEAD_ACCEPTED, initiator=env.initiator,
+                                    exclude=p["exclude"])
+    ctx.send(p["new_head"], HEAD_ACCEPTED, initiator=episode,
              role="fills-your-slot", modifier=twin, valency=link.label,
              reading=branch, left_edge=left, right_edge=right,
              concept=_effective_concept(state, reg, branch))
@@ -671,7 +667,7 @@ def on_duplicate_structure(ctx, env):
     copy, and repeat the offer against the new dependent root."""
     state = ctx.state
     p = env.params
-    branch, new_root = p["reading"], p["new_root"]
+    branch, new_root, episode = p["reading"], p["new_root"], p["initiator"]
     held = state.pending_offer
     if held is None:
         raise ProtocolError(f"{state.surface}: duplicateStructure without an open offer")
@@ -680,10 +676,10 @@ def on_duplicate_structure(ctx, env):
 
     # The copy owes the receipt now, but in the original's name and for the
     # original reading: the searcher's ledger knows neither copy nor branch.
-    twin, _left, _right = _spawn_copy(ctx, env.initiator, branch, head_link=None,
+    twin, _left, _right = _spawn_copy(ctx, episode, branch, head_link=None,
                                       exclude=held.candidate,
                                       pending_offer=replace(held, candidate=new_root))
-    ctx.send(new_root, HEAD_FOUND, initiator=env.initiator,
+    ctx.send(new_root, HEAD_FOUND, initiator=episode,
              role="offer", offerer=twin, valency=held.valency,
              constraints=held.constraints, reading=branch)
 
@@ -845,9 +841,6 @@ def protocol_behaviors() -> list:
 
 def build_system(lexicon, kb, tokens, *, seed=0, mode="sequential",
                  step_ceiling=100000, lenient=False, debug_checks=True):
-    from . import concepts as cn
-    from . import features as ft
-
     system = rt.System(seed=seed, step_ceiling=step_ceiling, mode=mode)
     system.register_behavior(word_behavior())
     system.register_behavior(scanner_behavior())
@@ -896,19 +889,13 @@ def _effective_link(system, reg, actor, context):
     """The governing link of an actor, or failing that of the actor it was
     copied from.  A copy made on the offerer's side of a split keeps its
     original's attachment: only the re-rooted phrase changes heads."""
-    link = _governing_link(actor.state, reg, context)
-    if link is not None or actor.state.origin_of is None:
-        return link
-    seen = {actor.actor_id}
-    a = system.actors.get(actor.state.origin_of)
-    while a is not None and a.actor_id not in seen:
-        seen.add(a.actor_id)
-        link = _governing_link(a.state, reg, context)
-        if link is not None:
-            return link
-        origin = a.state.origin_of
-        a = system.actors.get(origin) if origin is not None else None
-    return None
+    state = actor.state
+    link = _governing_link(state, reg, context)
+    # A copy's origin was spawned before it, so the walk ends.
+    while link is None and state.origin_of is not None:
+        state = system.actors[state.origin_of].state
+        link = _governing_link(state, reg, context)
+    return link
 
 
 def read_out_trees(system) -> list:

@@ -9,10 +9,11 @@ forward the message), the handler itself (the computation), and the
 post-distribution rule.  Distribution rules forward the message itself,
 not a copy, with ``Context.forward``.  Every arrival is recorded as one
 event whose causes are the events that posted the message.  The event
-keeps the params dict of the message itself, the initiator included, so
-the event of a forwarded message holds its cause's dict; nothing is copied or
-rendered during delivery.  The JSONL export writes them as json writes them,
-a feature structure as its text, and refuses any other value.
+keeps the params dict of the message itself, so the event of a forwarded
+message holds its cause's dict; nothing is copied or rendered during
+delivery.  A message's initiator, where it has one, is an ordinary param.
+The JSONL export writes them as json writes them, a feature structure as
+its text, and refuses any other value.
 
 Messages here are plain envelope values rather than actors in their own
 right; the distribution hooks preserve the observable effect (forwarding
@@ -62,7 +63,6 @@ class LivelockError(RuntimeError):
 class MessageEnvelope:
     key: str
     params: dict
-    initiator: Optional[int]
 
 
 @dataclass
@@ -155,7 +155,7 @@ class Context:
         self._event = event
         self._allowed = allowed
 
-    def send(self, target: int, key: str, initiator: Optional[int] = None, **params) -> None:
+    def send(self, target: int, key: str, **params) -> None:
         """Post ``key`` with ``params`` to ``target``.
 
         Params are values: once sent, neither the sender nor any receiver
@@ -164,29 +164,27 @@ class Context:
         would change the recorded trace.  Build a fresh dict or list to
         send an edited version, as the relay does.  They may hold only what
         ``json.dumps(sort_keys=True)`` writes itself and feature
-        structures; the JSONL export refuses anything else.  A non-None
-        ``initiator`` is one of the params, so a receiver that relays
-        ``**env.params`` relays it too.
+        structures; the JSONL export refuses anything else.  The
+        initiator of a message is one of its params like any other, so a
+        receiver that relays ``**env.params`` relays it too.
         """
         system = self.system
         event = self._event
         if system._current_event != event or key not in self._allowed:
             self._refuse(key)
-        if initiator is not None:
-            params["initiator"] = initiator
-        system.post(target, key, params, initiator, event)
+        system.post(target, key, params, event)
 
     def forward(self, target: int, envelope: MessageEnvelope) -> None:
         """Post ``envelope``, the message being delivered, on to ``target``
-        unchanged: the same key, the same params dict and the same
-        initiator.  Its event keeps that dict, as the event of the delivery
+        unchanged: the same key and the same params dict, the initiator
+        among them.  Its event keeps that dict, as the event of the delivery
         does.  The checks are those of ``send``."""
         system = self.system
         event = self._event
         key = envelope.key
         if system._current_event != event or key not in self._allowed:
             self._refuse(key)
-        system.post(target, key, envelope.params, envelope.initiator, event)
+        system.post(target, key, envelope.params, event)
 
     def _refuse(self, key: str) -> None:
         """Raise why this context may not send ``key`` now."""
@@ -269,13 +267,13 @@ class System:
         return actor_id
 
     def post(self, target: int, key: str, params: Optional[dict] = None,
-             initiator: Optional[int] = None, cause: Optional[int] = None) -> None:
+             cause: Optional[int] = None) -> None:
         """Queue an envelope; no processing happens until delivery.  Its
-        event will keep ``params`` itself as its params, so they must
-        already hold the initiator, as ``Context.send`` makes them."""
+        event will keep ``params`` itself as its params, the initiator
+        among them where the message has one."""
         if target not in self.actors:
             raise ContractViolation(f"post to unknown actor {target}")
-        env = MessageEnvelope(key, {} if params is None else params, initiator)
+        env = MessageEnvelope(key, {} if params is None else params)
         self.scheduler.pending.append((target, env, cause))
 
     def request(self, service: str, *args):

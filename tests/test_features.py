@@ -84,6 +84,37 @@ def test_plain_strings_become_singleton_sets():
     assert FeatureStructure({"case": "nom"}) == fs("{case: nom}")
 
 
+@pytest.mark.parametrize("mapping", [
+    {"x": "a|b"},       # would read back as the two atoms a and b
+    {"x y": "a"},
+    {"x": ""},
+    {"x": "a, b"},
+])
+def test_names_the_text_cannot_write_are_refused(mapping):
+    with pytest.raises(ValueError, match="is not a name"):
+        FeatureStructure(mapping)
+
+
+# arbitrary text, and text over the grammar's own characters, so that many
+# draws are names and many are near misses
+_text = st.text(max_size=4) | st.text("ab1_.+-|, :{}#\"\n", max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_text,
+                       _text | st.frozensets(_text, min_size=1, max_size=3)
+                       | st.dictionaries(_text, _text, min_size=1, max_size=2),
+                       max_size=3))
+@example({"x": "a|b"})
+@example({"case": ["nom", "acc"], "agr": {"num": "sg"}})
+def test_a_constructed_structure_reads_back_from_its_text(mapping):
+    try:
+        built = FeatureStructure(mapping)
+    except ValueError:
+        return
+    assert parse_fs(render_fs(built)) == built
+
+
 # -- text round trip -------------------------------------------------------
 
 def test_parse_empty():

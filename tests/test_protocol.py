@@ -2,6 +2,7 @@
 ambiguity splitting, and the invariants that hold at quiescence."""
 
 import dataclasses
+import itertools
 from collections import Counter
 
 import pytest
@@ -518,6 +519,30 @@ def test_rewritten_scans_agree_with_the_full_scans(monkeypatch, demo_lexicon, de
     # both halves of the fringe check ran, and readings were kept and dropped
     assert {borders for _, _, borders in scans.fringe} == {True, False}
     assert {got is None for _, got, _ in scans.readout} == {True, False}
+
+
+def test_copies_skip_the_excluded_word_and_follow_their_origins(demo_lexicon, demo_kb,
+                                                                permissive_kb):
+    # What the structure copy and the readout rely on: no copyStructure
+    # reaches the word its split re-roots, and a copy's origin was spawned
+    # before it, so the readout's walk up the origins ends.
+    runs = [(kb, list(tokens)) for kb in (demo_kb, permissive_kb)
+            for _, tokens in corpus_cases()]
+    runs += [(demo_kb, base.split() + k * "mit einer Harddisk".split())
+             for base in CHAIN_BASES for k in range(5)]
+    excluding = copies = 0
+    for (kb, tokens), mode, seed in itertools.product(runs, ("sequential", "parallel"),
+                                                      range(10)):
+        system, net, _ = pt.run_parse(demo_lexicon, kb, tokens, seed=seed, mode=mode)
+        for e in net.events:
+            if e.key == pt.COPY_STRUCTURE and e.params["exclude"] is not None:
+                excluding += 1
+                assert e.target != e.params["exclude"], (tokens, mode, seed, e.event_id)
+        for a in pt._word_actors(system):
+            origin = a.state.origin_of
+            assert origin is None or origin < a.actor_id, (tokens, mode, seed, a.actor_id)
+            copies += origin is not None
+    assert excluding and copies
 
 
 def test_rewritten_fringe_check_raises_where_the_full_scan_does(monkeypatch, demo_lexicon,

@@ -252,7 +252,7 @@ def test_forward_posts_the_message_being_delivered():
     net = system.run_to_quiescence()
     (at_a, env_a, event_a), (at_b, env_b, event_b) = seen
     assert (at_a, at_b) == (a, b)
-    assert (env_b.key, env_b.params, env_b.initiator) == ("ping", {"n": 1, "initiator": a}, a)
+    assert (env_b.key, env_b.params) == ("ping", {"n": 1, "initiator": a})
     assert env_b.params is env_a.params
     # the forwarded event holds its cause's very dict
     assert event_b.causes == {event_a.event_id}
@@ -272,7 +272,7 @@ def test_a_kept_context_cannot_forward():
     ctx, a = _kept_context()
     with pytest.raises(rt.ContractViolation,
                        match="messages can only be sent from inside a computation event"):
-        ctx.forward(a, rt.MessageEnvelope("ping", {"n": 1}, None))
+        ctx.forward(a, rt.MessageEnvelope("ping", {"n": 1}))
     assert not ctx.system.scheduler.pending
 
 
@@ -336,9 +336,9 @@ def test_guaranteed_delivery(monkeypatch):
     posted = []
     post = rt.System.post
 
-    def counted_post(self, target, key, params=None, initiator=None, cause=None):
+    def counted_post(self, target, key, params=None, cause=None):
         posted.append((target, key, params["n"], params["chain"]))
-        post(self, target, key, params, initiator, cause)
+        post(self, target, key, params, cause)
 
     monkeypatch.setattr(rt.System, "post", counted_post)
     system = fresh_system(seed=11)
@@ -693,7 +693,7 @@ def test_an_event_keeps_the_params_dict_of_its_message():
         ctx.send(ctx.actor_id, "show", n=2)
 
     def show(ctx, env):
-        seen.append((env.params, env.initiator, ctx.system.net.events[ctx._event].params))
+        seen.append((env.params, ctx.system.net.events[ctx._event].params))
 
     system = rt.System()
     system.register_behavior(rt.BehaviorDef(
@@ -702,9 +702,9 @@ def test_an_event_keeps_the_params_dict_of_its_message():
     a = system.spawn("b", "a", rt.ActorState())
     system.kick(a, "ping")
     system.run_to_quiescence()
-    by_n = {params["n"]: (params, initiator) for params, initiator, _recorded in seen}
-    assert by_n == {1: ({"n": 1, "initiator": a}, a), 2: ({"n": 2}, None)}
-    assert all(params is recorded for params, _initiator, recorded in seen)
+    by_n = {params["n"]: params for params, _recorded in seen}
+    assert by_n == {1: {"n": 1, "initiator": a}, 2: {"n": 2}}
+    assert all(params is recorded for params, recorded in seen)
 
 
 def test_kick_params_are_copied():
