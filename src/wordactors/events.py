@@ -212,6 +212,9 @@ def derive_etn(behaviors) -> EventTypeNetwork:
     return etn
 
 
+_NOT_LOOKED_UP = object()
+
+
 def validate_trace(net: EventNetwork, etn: EventTypeNetwork) -> list:
     """Check a run against the type network.
 
@@ -219,25 +222,48 @@ def validate_trace(net: EventNetwork, etn: EventTypeNetwork) -> list:
     edge of the type network, and the stored list order is a valid
     linearization (causes strictly precede their effects).  Runtime
     bookkeeping events (actor creation) are exempt from the key check.
+
+    Events are checked in list order, and the causes of each in the
+    iteration order of its ``causes``.  Per event, the diagnostics come in
+    this order:
+
+    1. ``event <id> stored at position <p>``: its id is not its position;
+    2. per cause, ``event <id>: unknown cause <c>``: no event has that id,
+       and that cause is checked no further; otherwise
+    3. ``event <id>: cause <c> does not precede it``, then
+    4. ``causes edge (<src> -> <dst>) at event <id> is not in the type
+       network``, unless either key is a bookkeeping key.
     """
     diagnostics = []
-    pairs = etn.key_pairs()
+    # per destination key, the keys its causes may have; a bookkeeping key
+    # admits every cause
+    allowed_by_dst: dict = {}
+    for src, dst, _guard, _plumbing in etn.edges:
+        allowed_by_dst.setdefault(dst, set()).add(src)
+    for key in INTERNAL_KEYS:
+        allowed_by_dst[key] = None
     by_id = {e.event_id: e for e in net.events}
     for position, e in enumerate(net.events):
-        if e.event_id != position:
-            diagnostics.append(f"event {e.event_id} stored at position {position}")
+        event_id, dst = e.event_id, e.key
+        if event_id != position:
+            diagnostics.append(f"event {event_id} stored at position {position}")
+        # looked up at the first cause that reaches the key check, so a key
+        # is hashed only where a (src, dst) pair would be
+        allowed = _NOT_LOOKED_UP
         for c in e.causes:
             if c not in by_id:
-                diagnostics.append(f"event {e.event_id}: unknown cause {c}")
+                diagnostics.append(f"event {event_id}: unknown cause {c}")
                 continue
-            if c >= e.event_id:
-                diagnostics.append(f"event {e.event_id}: cause {c} does not precede it")
-            src, dst = by_id[c].key, e.key
-            if src in INTERNAL_KEYS or dst in INTERNAL_KEYS:
+            if c >= event_id:
+                diagnostics.append(f"event {event_id}: cause {c} does not precede it")
+            src = by_id[c].key
+            if src in INTERNAL_KEYS:
                 continue
-            if (src, dst) not in pairs:
+            if allowed is _NOT_LOOKED_UP:
+                allowed = allowed_by_dst.get(dst, ())
+            if allowed is not None and src not in allowed:
                 diagnostics.append(
-                    f"causes edge ({src} -> {dst}) at event {e.event_id} is not in the type network")
+                    f"causes edge ({src} -> {dst}) at event {event_id} is not in the type network")
     return diagnostics
 
 
@@ -279,6 +305,7 @@ def _events_jsonl(net: EventNetwork) -> str:
         else json.JSONEncoder(sort_keys=True, default=_json_default).iterencode)
     events = net.events
     texts = []      # the params text of each list position
+    key_texts = {}  # the JSON text of each key, written once per export
     lines = []
     append = lines.append
     for position, e in enumerate(events):
@@ -288,13 +315,16 @@ def _events_jsonl(net: EventNetwork) -> str:
                     and type(version) is int and type(key) is str):
                 raise TypeError("its id, target and stateVersion must be ints "
                                 "and its key a str")
+            key_text = key_texts.get(key)
+            if key_text is None:
+                key_text = key_texts[key] = encode_str(key)
             causes = e.causes
             params = None
             if not causes:
                 written = ""
             elif len(causes) == 1:
                 (cause,) = causes
-                written = _json_int(cause)
+                written = str(cause) if type(cause) is int else _json_int(cause)
                 if 0 <= cause < position and events[cause].params is e.params:
                     params = texts[cause]
             else:
@@ -304,19 +334,22 @@ def _events_jsonl(net: EventNetwork) -> str:
         except (TypeError, ValueError, RecursionError) as err:
             raise ValueError(f"event {event_id!r} cannot be exported: {err}") from err
         texts.append(params)
-        append(f'{{"causes": [{written}], "id": {event_id}, "key": {encode_str(key)}, '
+        append(f'{{"causes": [{written}], "id": {event_id}, "key": {key_text}, '
                f'"params": {params}, "stateVersion": {version}, "target": {target}}}\n')
     return "".join(lines)
 
 
 def _events_dot(net: EventNetwork) -> str:
-    names = net.actor_names
+    # each named target's node label up to its key, built once per export
+    # and found as actor_names finds the name; an unnamed target's actor<id>
+    # is written afresh, since True and 1 are one dict key but two labels
+    prefixes = {target: f' [label="[{name}] <= ' for target, name in net.actor_names.items()}
     lines = ["digraph events {", "  rankdir=LR;"]
     edges = []
     for e in net.events:
         event_id, target = e.event_id, e.target
-        name = names[target] if target in names else f"actor{target}"
-        lines.append(f'  e{event_id} [label="[{name}] <= {e.key}"];')
+        prefix = prefixes[target] if target in prefixes else f' [label="[actor{target}] <= '
+        lines.append(f'  e{event_id}{prefix}{e.key}"];')
         for c in e.causes:
             edges.append((c, event_id))
     edges.sort()

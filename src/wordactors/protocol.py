@@ -1043,6 +1043,11 @@ def _assert_on_fringe(ctx, profile):
         f"search in reading {context}, border {border})")
 
 
+def _where(st) -> str:
+    """How a problem of ``check_invariants`` names a word: surface@position."""
+    return f"{st.surface}@{st.position}"
+
+
 def check_invariants(system, net=None, etn=None) -> list:
     """Everything that must hold of a quiescent run; empty list means pass.
 
@@ -1059,7 +1064,6 @@ def check_invariants(system, net=None, etn=None) -> list:
 
     for a in _word_actors(system):
         st = a.state
-        where = f"{st.surface}@{st.position}"
         if st.origin_of is None:
             born_positions.add(st.position)
             if st.deferred:
@@ -1069,17 +1073,17 @@ def check_invariants(system, net=None, etn=None) -> list:
         for led in st.episodes.values():
             if not led.closed:
                 missing = sorted(led.expected - led.received)
-                problems.append(f"{where}: receipt ledger still open, waiting for {missing}")
+                problems.append(f"{_where(st)}: receipt ledger still open, waiting for {missing}")
                 continue
             predicted += 1
             if led.received != led.expected:
-                problems.append(f"{where}: ledger closed but out of balance")
+                problems.append(f"{_where(st)}: ledger closed but out of balance")
         if st.pending_offer is not None:
-            problems.append(f"{where}: head offer never answered")
+            problems.append(f"{_where(st)}: head offer never answered")
         if st.pending_application is not None:
-            problems.append(f"{where}: application never answered")
+            problems.append(f"{_where(st)}: application never answered")
         if st.expected_rebuilds:
-            problems.append(f"{where}: structure copy incomplete, "
+            problems.append(f"{_where(st)}: structure copy incomplete, "
                             f"missing {sorted(st.expected_rebuilds)}")
 
     if net is not None:

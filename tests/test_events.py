@@ -6,7 +6,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import DEMO_SENTENCE, corpus_cases, fixture_text, fs_text
@@ -359,6 +359,32 @@ def _reference_dot(net):
     return "\n".join(lines) + "\n"
 
 
+# validate_trace as first written: one (src, dst) tuple per cause, tested
+# against the key pairs of the type network.  It must give the same
+# diagnostics and raise where this raises.
+
+def _reference_validate_trace(net, etn):
+    diagnostics = []
+    pairs = etn.key_pairs()
+    by_id = {e.event_id: e for e in net.events}
+    for position, e in enumerate(net.events):
+        if e.event_id != position:
+            diagnostics.append(f"event {e.event_id} stored at position {position}")
+        for c in e.causes:
+            if c not in by_id:
+                diagnostics.append(f"event {e.event_id}: unknown cause {c}")
+                continue
+            if c >= e.event_id:
+                diagnostics.append(f"event {e.event_id}: cause {c} does not precede it")
+            src, dst = by_id[c].key, e.key
+            if src in ev.INTERNAL_KEYS or dst in ev.INTERNAL_KEYS:
+                continue
+            if (src, dst) not in pairs:
+                diagnostics.append(
+                    f"causes edge ({src} -> {dst}) at event {e.event_id} is not in the type network")
+    return diagnostics
+
+
 def _rendered(export, net):
     """The export's text, or the error it raised (unsortable causes in a
     hand-made network)."""
@@ -387,6 +413,15 @@ _opaque = st.builds(object)
 _loose_ints = st.integers() | st.booleans() | st.none() | _texts | _opaque
 
 
+def _name_some_targets(draw, net):
+    """Register display names for some of the targets the events have; the
+    rest keep the actor<id> fallback."""
+    targets = [e.target for e in net.events]
+    if targets:
+        for target in draw(st.lists(st.sampled_from(targets), max_size=3)):
+            net.register_actor(target, draw(_texts))
+
+
 @st.composite
 def _recorded_networks(draw):
     net = ev.EventNetwork()
@@ -397,9 +432,14 @@ def _recorded_networks(draw):
         if n and draw(st.booleans()):
             # as a forwarded message does, share an earlier event's dict
             params = net.events[draw(st.integers(0, n - 1))].params
-        net.record(draw(st.integers(0, 4)), draw(_texts), params,
+        net.record(draw(st.integers(0, 4)), draw(_texts | st.just(ev.CREATED)), params,
                    causes, draw(st.integers(0, 9)))
+    _name_some_targets(draw, net)
     return net
+
+
+# a key no set can hold, which a check must not hash where it did not before
+_unhashable_keys = st.lists(st.integers(0, 2), max_size=1)
 
 
 @st.composite
@@ -408,22 +448,20 @@ def _hand_made_networks(draw):
     for _ in range(draw(st.integers(0, 5))):
         causes = draw(st.frozensets(st.integers() | st.booleans(), max_size=4)
                       | st.frozensets(_texts, max_size=3))
-        net.events.append(ev.Event(draw(_loose_ints), draw(_loose_ints), draw(_texts | _opaque),
+        key = draw(_texts | _opaque | st.just(ev.CREATED) | _unhashable_keys)
+        net.events.append(ev.Event(draw(_loose_ints), draw(_loose_ints), key,
                                    draw(_params), causes, draw(_loose_ints)))
+    _name_some_targets(draw, net)
     return net
 
 
 @st.composite
 def _networks(draw, hand_made=False):
     if hand_made:
-        net = draw(_hand_made_networks())
-    else:
-        net = draw(_recorded_networks())
-        if draw(st.booleans()):
-            net = net.subnetwork(draw(st.sets(st.integers(0, max(len(net.events) - 1, 0)))))
-    targets = st.integers(0, 4) | _loose_ints
-    for actor_id, name in draw(st.dictionaries(targets, _texts, max_size=4)).items():
-        net.register_actor(actor_id, name)
+        return draw(_hand_made_networks())
+    net = draw(_recorded_networks())
+    if draw(st.booleans()):
+        net = net.subnetwork(draw(st.sets(st.integers(0, max(len(net.events) - 1, 0)))))
     return net
 
 
@@ -439,8 +477,18 @@ def _typed(e):
             and type(e.state_version) is int and all(type(c) is int for c in e.causes))
 
 
+def _hand_made(*targets):
+    net = ev.EventNetwork()
+    for event_id, target in enumerate(targets):
+        net.events.append(ev.Event(event_id, target, "k", {}, frozenset(), 0))
+    return net
+
+
 @settings(max_examples=80)
 @given(_networks(hand_made=True))
+# 1 and True are equal dict keys, but with no name registered they are
+# labeled actor1 and actorTrue
+@example(_hand_made(True, 1, True, 1))
 def test_hand_made_event_exports_equal_the_reference_or_are_refused(net):
     # their params are all json writes itself, so only the skeleton decides
     untyped = [e for e in net.events if not _typed(e)]
@@ -451,6 +499,40 @@ def test_hand_made_event_exports_equal_the_reference_or_are_refused(net):
     else:
         assert ev.export(net, "jsonl") == _reference_jsonl(net)
     assert _rendered(lambda n: ev.export(n, "dot"), net) == _rendered(_reference_dot, net)
+
+
+@st.composite
+def _type_networks(draw, net):
+    """A type network over the keys of ``net`` and ``created``, with one key
+    pair under two guards."""
+    keys = [ev.CREATED] + [e.key for e in net.events if not isinstance(e.key, list)]
+    pairs = st.tuples(st.sampled_from(keys), st.sampled_from(keys))
+    etn = ev.EventTypeNetwork()
+    for src, dst in draw(st.lists(pairs, max_size=6)):
+        etn.edges.add((src, dst, draw(st.sampled_from(["", "g"])), draw(st.booleans())))
+    src, dst = draw(pairs)
+    etn.edges |= {(src, dst, "g", False), (src, dst, "¬g", True)}
+    etn.nodes = {key for edge in etn.edges for key in edge[:2]}
+    return etn
+
+
+def _diagnosed(validate, net, etn):
+    """The diagnostics, or the type of the error raised (a hand-made id or
+    cause that does not compare with an int, or a key no set can hold)."""
+    try:
+        return validate(net, etn)
+    except TypeError as err:
+        return type(err)
+
+
+@settings(max_examples=120)
+@pytest.mark.parametrize("hand_made", [False, True], ids=["recorded", "hand-made"])
+@given(data=st.data())
+def test_validate_trace_equals_the_reference(hand_made, data):
+    net = data.draw(_networks(hand_made))
+    etn = data.draw(_type_networks(net))
+    assert (_diagnosed(ev.validate_trace, net, etn)
+            == _diagnosed(_reference_validate_trace, net, etn))
 
 
 class _Opaque:

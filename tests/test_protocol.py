@@ -282,6 +282,31 @@ def test_check_invariants_reports_a_word_outside_the_spawned_positions(demo_lexi
     assert "token spawn accounting is off" in pt.check_invariants(system, net, ETN)
 
 
+def _held(**fields):
+    return pt.HeldReceipt(**{"initiator": 4, "candidate": 2, "valency": "dirobj",
+                             "reading": 0, "answered_by": 1, **fields})
+
+
+@pytest.mark.parametrize("spoil, problem", [
+    ({"episodes": {0: pt.ReceiptLedger(expected={8, 3, 5}, received={5})}},
+     "Notebook@4: receipt ledger still open, waiting for [3, 8]"),
+    ({"episodes": {0: pt.ReceiptLedger(expected={3}, received={3, 6}, closed=True)}},
+     "Notebook@4: ledger closed but out of balance"),
+    ({"pending_offer": _held()}, "Notebook@4: head offer never answered"),
+    ({"pending_application": _held()}, "Notebook@4: application never answered"),
+    ({"expected_rebuilds": {9, 2}}, "Notebook@4: structure copy incomplete, missing [2, 9]"),
+], ids=["open-ledger", "unbalanced-ledger", "offer", "application", "copy"])
+def test_check_invariants_names_each_word_problem(demo_lexicon, demo_kb, spoil, problem):
+    # one quiescent run, one word spoilt by hand; without the net, the
+    # scanNext accounting is not checked, so the word's problem is all
+    system, _net, _trees = pt.run_parse(demo_lexicon, demo_kb, DEMO_SENTENCE)
+    assert pt.check_invariants(system) == []
+    (word,) = [a.state for a in pt._word_actors(system) if a.state.position == 4]
+    for name, value in spoil.items():
+        setattr(word, name, value)
+    assert pt.check_invariants(system) == [problem]
+
+
 # -- contract tables ----------------------------------------------------------
 
 def test_contract_table_is_the_key_projection_of_the_script():
