@@ -49,33 +49,51 @@ class Event:
 
 
 class EventNetwork:
-    """Append-only record of one run."""
+    """Append-only record of one run.
+
+    ``record`` is the only way in, so every network holds its invariant:
+    event *i* sits at position *i*, its target and state version are exactly
+    ``int``, its key is exactly ``str``, and its causes are earlier ids.
+    """
 
     def __init__(self):
-        self.events: list[Event] = []
+        self._events: list[Event] = []
+        self._snapshot: tuple = ()
         self.actor_names: dict[int, str] = {}
+
+    @property
+    def events(self) -> tuple:
+        """The recorded events in order, as a read-only tuple."""
+        if len(self._snapshot) != len(self._events):
+            self._snapshot = tuple(self._events)
+        return self._snapshot
 
     def register_actor(self, actor_id: int, name: str) -> None:
         self.actor_names[actor_id] = name
 
     def record(self, target: int, key: str, params: dict,
-               causes: Iterable[int], state_version: int) -> int:
-        """Append one event and return its id.  The event keeps ``params``
+               causes: Iterable[int], state_version: int) -> Event:
+        """Append one event and return it.  The event keeps ``params``
         itself, not a copy, so the caller must not edit that dict later.
-        Each cause must be the plain ``int`` id of an earlier event.  The
-        JSONL export writes only events whose ``target`` and
-        ``state_version`` are plain ints, whose ``key`` is a plain str, and
-        whose params hold only what ``json.dumps(sort_keys=True)`` writes
-        itself plus feature structures; it refuses any other."""
-        event_id = len(self.events)
+        ``target`` and ``state_version`` must be exactly ``int``, ``key``
+        exactly ``str``, and each cause the ``int`` id of an earlier event;
+        otherwise ``ValueError`` names the event id and nothing is recorded.
+        The JSONL export still refuses params it cannot write (see
+        ``export``)."""
+        events = self._events
+        event_id = len(events)
+        if type(target) is not int or type(state_version) is not int or type(key) is not str:
+            raise ValueError(f"event {event_id}: target {target!r} and state version "
+                             f"{state_version!r} must be ints and key {key!r} a str")
         cause_set = frozenset(causes)
         for c in cause_set:
             if type(c) is not int:
                 raise ValueError(f"event {event_id}: cause {c!r} is not an event id")
             if not (0 <= c < event_id):
                 raise ValueError(f"event {event_id}: cause {c} not yet recorded")
-        self.events.append(Event(event_id, target, key, params, cause_set, state_version))
-        return event_id
+        event = Event(event_id, target, key, params, cause_set, state_version)
+        events.append(event)
+        return event
 
     def name_of(self, actor_id: int) -> str:
         try:
@@ -84,38 +102,20 @@ class EventNetwork:
             return f"actor{actor_id}"
 
     def subnetwork(self, ids: Iterable[int]) -> "EventNetwork":
-        """Restriction to a subset of events; causes outside the subset drop."""
+        """Restriction to a subset of events, recorded anew in list order:
+        the kept events get the dense ids 0, 1, ..., their causes inside the
+        subset are renumbered with them, and causes outside it drop.  Each
+        event keeps its params dict."""
         keep = set(ids)
         sub = EventNetwork()
         sub.actor_names = dict(self.actor_names)
-        for e in self.events:
+        renumbered: dict[int, int] = {}
+        for e in self._events:
             if e.event_id in keep:
-                sub.events.append(Event(e.event_id, e.target, e.key, e.params,
-                                        frozenset(c for c in e.causes if c in keep),
-                                        e.state_version))
+                causes = [renumbered[c] for c in e.causes if c in renumbered]
+                renumbered[e.event_id] = sub.record(e.target, e.key, e.params, causes,
+                                                    e.state_version).event_id
         return sub
-
-
-class CausesClosure:
-    """Reflexive-transitive closure of causes, with a concurrency test."""
-
-    def __init__(self, net: EventNetwork):
-        self._ancestors: dict[int, frozenset] = {}
-        for e in net.events:
-            acc = {e.event_id}
-            for c in e.causes:
-                acc |= self._ancestors[c]
-            self._ancestors[e.event_id] = frozenset(acc)
-
-    def leq(self, earlier: int, later: int) -> bool:
-        return earlier in self._ancestors[later]
-
-    def concurrent(self, a: int, b: int) -> bool:
-        return not self.leq(a, b) and not self.leq(b, a)
-
-
-def causes_closure(net: EventNetwork) -> CausesClosure:
-    return CausesClosure(net)
 
 
 # --------------------------------------------------------------------------
@@ -212,58 +212,34 @@ def derive_etn(behaviors) -> EventTypeNetwork:
     return etn
 
 
-_NOT_LOOKED_UP = object()
-
-
 def validate_trace(net: EventNetwork, etn: EventTypeNetwork) -> list:
     """Check a run against the type network.
 
     Empty result means: every causes edge, projected to message keys, is an
-    edge of the type network, and the stored list order is a valid
-    linearization (causes strictly precede their effects).  Runtime
-    bookkeeping events (actor creation) are exempt from the key check.
-
-    Events are checked in list order, and the causes of each in the
-    iteration order of its ``causes``.  Per event, the diagnostics come in
-    this order:
-
-    1. ``event <id> stored at position <p>``: its id is not its position;
-    2. per cause, ``event <id>: unknown cause <c>``: no event has that id,
-       and that cause is checked no further; otherwise
-    3. ``event <id>: cause <c> does not precede it``, then
-    4. ``causes edge (<src> -> <dst>) at event <id> is not in the type
-       network``, unless either key is a bookkeeping key.
+    edge of the type network.  Runtime bookkeeping events (actor creation)
+    are exempt from the check.  A network made by ``EventNetwork.record``
+    is a valid linearization already, so only edges are checked: events in
+    list order, the causes of each in the iteration order of its
+    ``causes``, each missing edge reported as ``causes edge (<src> -> <dst>)
+    at event <id> is not in the type network``.
     """
-    diagnostics = []
-    # per destination key, the keys its causes may have; a bookkeeping key
-    # admits every cause
+    # per destination key, the keys its causes may have; a bookkeeping
+    # cause is allowed everywhere
     allowed_by_dst: dict = {}
     for src, dst, _guard, _plumbing in etn.edges:
-        allowed_by_dst.setdefault(dst, set()).add(src)
-    for key in INTERNAL_KEYS:
-        allowed_by_dst[key] = None
-    by_id = {e.event_id: e for e in net.events}
-    for position, e in enumerate(net.events):
-        event_id, dst = e.event_id, e.key
-        if event_id != position:
-            diagnostics.append(f"event {event_id} stored at position {position}")
-        # looked up at the first cause that reaches the key check, so a key
-        # is hashed only where a (src, dst) pair would be
-        allowed = _NOT_LOOKED_UP
+        allowed_by_dst.setdefault(dst, set(INTERNAL_KEYS)).add(src)
+    events = net.events
+    diagnostics = []
+    for e in events:
+        dst = e.key
+        if dst in INTERNAL_KEYS:
+            continue
+        allowed = allowed_by_dst.get(dst, INTERNAL_KEYS)
         for c in e.causes:
-            if c not in by_id:
-                diagnostics.append(f"event {event_id}: unknown cause {c}")
-                continue
-            if c >= event_id:
-                diagnostics.append(f"event {event_id}: cause {c} does not precede it")
-            src = by_id[c].key
-            if src in INTERNAL_KEYS:
-                continue
-            if allowed is _NOT_LOOKED_UP:
-                allowed = allowed_by_dst.get(dst, ())
-            if allowed is not None and src not in allowed:
+            src = events[c].key
+            if src not in allowed:
                 diagnostics.append(
-                    f"causes edge ({src} -> {dst}) at event {event_id} is not in the type network")
+                    f"causes edge ({src} -> {dst}) at event {e.event_id} is not in the type network")
     return diagnostics
 
 
@@ -278,23 +254,16 @@ def _json_default(value):
     raise TypeError(f"params hold a {type(value).__name__}, which a trace cannot write")
 
 
-def _json_int(value) -> str:
-    """A cause as json writes it; anything but a plain int is refused."""
-    if type(value) is int:
-        return str(value)
-    raise TypeError(f"cause {value!r} is not an int")
-
-
 def _events_jsonl(net: EventNetwork) -> str:
     # Each line equals json.dumps of the six-field record with sorted keys
     # and _json_default as its hook.  The skeleton is written here in that
-    # key order; the params of every line go through one encoder built for
-    # the export.  That C encoder keeps no circular-reference record, so
-    # params that contain themselves overflow its recursion guard instead.
-    # A forwarded message keeps its cause's params dict, so an event whose
-    # one cause sits at a list position already written and holds that very
-    # dict takes its text: equal objects give equal text, whatever the ids.
-    # An event outside the rule of docs/formats.md raises ValueError.
+    # key order (record keeps its fields plain ints and a str); the params
+    # of every line go through one encoder built for the export.  That C
+    # encoder keeps no circular-reference record, so params that contain
+    # themselves overflow its recursion guard instead.  A forwarded message
+    # keeps its cause's params dict, so an event whose one cause holds that
+    # very dict takes its text: equal objects give equal text.  Params
+    # outside the rule of docs/formats.md raise ValueError.
     make_encoder = json.encoder.c_make_encoder
     encode_str = json.encoder.encode_basestring_ascii
     # markers, default, string encoder, indent, key and item separators,
@@ -304,51 +273,45 @@ def _events_jsonl(net: EventNetwork) -> str:
         if make_encoder
         else json.JSONEncoder(sort_keys=True, default=_json_default).iterencode)
     events = net.events
-    texts = []      # the params text of each list position
+    texts = []      # the params text of each event
     key_texts = {}  # the JSON text of each key, written once per export
     lines = []
     append = lines.append
-    for position, e in enumerate(events):
-        event_id, target, key, version = e.event_id, e.target, e.key, e.state_version
-        try:
-            if not (type(event_id) is int and type(target) is int
-                    and type(version) is int and type(key) is str):
-                raise TypeError("its id, target and stateVersion must be ints "
-                                "and its key a str")
-            key_text = key_texts.get(key)
-            if key_text is None:
-                key_text = key_texts[key] = encode_str(key)
-            causes = e.causes
-            params = None
-            if not causes:
-                written = ""
-            elif len(causes) == 1:
-                (cause,) = causes
-                written = str(cause) if type(cause) is int else _json_int(cause)
-                if 0 <= cause < position and events[cause].params is e.params:
-                    params = texts[cause]
-            else:
-                written = ", ".join(map(_json_int, sorted(causes)))
-            if params is None:
-                params = "".join(encode_params(e.params, 0))
-        except (TypeError, ValueError, RecursionError) as err:
-            raise ValueError(f"event {event_id!r} cannot be exported: {err}") from err
-        texts.append(params)
-        append(f'{{"causes": [{written}], "id": {event_id}, "key": {key_text}, '
-               f'"params": {params}, "stateVersion": {version}, "target": {target}}}\n')
+    for e in events:
+        key, causes, params = e.key, e.causes, e.params
+        key_text = key_texts.get(key)
+        if key_text is None:
+            key_text = key_texts[key] = encode_str(key)
+        text = None
+        if not causes:
+            written = ""
+        elif len(causes) == 1:
+            (cause,) = causes
+            written = str(cause)
+            if events[cause].params is params:
+                text = texts[cause]
+        else:
+            written = ", ".join(map(str, sorted(causes)))
+        if text is None:
+            try:
+                text = "".join(encode_params(params, 0))
+            except (TypeError, ValueError, RecursionError) as err:
+                raise ValueError(f"event {e.event_id} cannot be exported: {err}") from err
+        texts.append(text)
+        append(f'{{"causes": [{written}], "id": {e.event_id}, "key": {key_text}, '
+               f'"params": {text}, "stateVersion": {e.state_version}, "target": {e.target}}}\n')
     return "".join(lines)
 
 
 def _events_dot(net: EventNetwork) -> str:
-    # each named target's node label up to its key, built once per export
-    # and found as actor_names finds the name; an unnamed target's actor<id>
-    # is written afresh, since True and 1 are one dict key but two labels
-    prefixes = {target: f' [label="[{name}] <= ' for target, name in net.actor_names.items()}
+    prefixes = {}   # each target's node label up to its key, built once
     lines = ["digraph events {", "  rankdir=LR;"]
     edges = []
     for e in net.events:
         event_id, target = e.event_id, e.target
-        prefix = prefixes[target] if target in prefixes else f' [label="[actor{target}] <= '
+        prefix = prefixes.get(target)
+        if prefix is None:
+            prefix = prefixes[target] = f' [label="[{net.name_of(target)}] <= '
         lines.append(f'  e{event_id}{prefix}{e.key}"];')
         for c in e.causes:
             edges.append((c, event_id))
@@ -367,8 +330,10 @@ def export(obj, format: str = "jsonl") -> str:
     each node "[surface <= key]".  Type networks: JSONL has one record per
     edge; DOT labels each node "[* <= key]", writes guards as edge labels,
     and draws plumbing edges dashed.  Output is byte-stable for equal input.
-    An event network's JSONL export raises ``ValueError`` naming the first
-    event it cannot write (see ``EventNetwork.record``).
+    ``EventNetwork.record`` has already refused any event whose id, target,
+    key, state version or causes a line cannot hold, so an event network's
+    JSONL export refuses only params: it raises ``ValueError`` naming the
+    first event whose params it cannot write.
     """
     if format not in ("jsonl", "dot"):
         raise ValueError(f"unknown format {format!r}")

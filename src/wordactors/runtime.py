@@ -354,8 +354,9 @@ class System:
                 f"behavior {behavior.name!r} has no handler for key {envelope.key!r}")
 
         causes = (cause,) if cause is not None else ()
-        event_id = self.net.record(target, envelope.key, envelope.params, causes,
-                                   actor.state_version)
+        event = self.net.record(target, envelope.key, envelope.params, causes,
+                                actor.state_version)
+        event_id = event.event_id
 
         self._current_event = event_id
         ctx = Context(self, actor, event_id, behavior.allowed_keys(envelope.key))
@@ -378,7 +379,7 @@ class System:
             # A context kept past its delivery must not call services later.
             ctx.request = _request_after_delivery
 
-        return self.net.events[event_id]
+        return event
 
     def run_to_quiescence(self) -> ev.EventNetwork:
         """Deliver until nothing is pending; the full event network results."""

@@ -54,7 +54,7 @@ def _episode_reference() -> ev.EventNetwork:
         ref.register_actor(i, name)
 
     def rec(target, key, causes):
-        return ref.record(target, key, {}, causes, 0)
+        return ref.record(target, key, {}, causes, 0).event_id
 
     opener = rec(0, "headAccepted", [])          # einer bound, mit may search
     ask_nb = rec(1, "searchHead", [opener])      # the search reaches Notebook
