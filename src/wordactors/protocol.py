@@ -8,7 +8,9 @@ head, or declines with a receipt.  The searcher keeps a ledger of receipts;
 once everyone who saw the request has answered, it tells the scanner to
 read the next token.  A second head offer for an already governed word does
 not block anything: the affected part of the tree is copied under a fresh
-reading tag and the offer is repeated against the copy.
+reading tag and the offer is repeated against the copy.  A reading tag is
+a value that names the splits which made it, so no handler writes anything
+outside its own actor.
 
 All linguistic knowledge enters through the registered lookup services
 (resolve_entry, unify, subclass_of, role_permits); the handlers themselves
@@ -18,7 +20,7 @@ only route messages and keep actor-local state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from typing import Optional
 
 from . import concepts as cn
@@ -49,32 +51,19 @@ class ParseAbort(rt.ContractViolation):
 
 
 # --------------------------------------------------------------------------
-# Reading tags.
+# Reading tags.  A tag is the path of what made the reading: ``()`` is the
+# base reading of the whole text, ``((p, i),)`` the reading of entry i (from
+# 0) of the homonym at position p, and a split appends (splitter position,
+# valency, offerer position) to the tag of the reading it grew out of.  A
+# state entry tagged t is visible in reading c iff t is a prefix of c, and
+# a tag's depth is its length.
 
-class ReadingRegistry:
-    """Tree of reading tags.
-
-    Tag 0 is the base reading of the whole text.  Homonyms get sibling
-    children of 0, attachment splits get a child of the reading they grew
-    out of.  State entries tagged with an ancestor reading stay visible in
-    the descendant.
-    """
-
-    def __init__(self):
-        self.parent = {0: None}
-        self._anc = {0: frozenset({0})}
-
-    def new_child(self, parent: int) -> int:
-        tag = len(self.parent)
-        self.parent[tag] = parent
-        self._anc[tag] = self._anc[parent] | {tag}
-        return tag
-
-    def ancestors_or_self(self, tag: int) -> frozenset:
-        return self._anc[tag]
-
-    def depth(self, tag: int) -> int:
-        return len(self._anc[tag])
+# One parse sees a few dozen tags; the bound keeps a long-lived process
+# from holding every tag it ever saw.
+@lru_cache(maxsize=1024)
+def _prefixes(tag: tuple) -> frozenset:
+    """The tags visible in reading ``tag``: its prefixes, itself included."""
+    return frozenset(tag[:i] for i in range(len(tag) + 1))
 
 
 # --------------------------------------------------------------------------
@@ -82,7 +71,7 @@ class ReadingRegistry:
 
 @dataclass
 class Fill:
-    reading: int
+    reading: tuple
     filler: int
     concept: Optional[str]
     left: int
@@ -97,7 +86,7 @@ class Slot:
 
 @dataclass
 class HeadLink:
-    reading: int
+    reading: tuple
     head: int
     label: str
 
@@ -121,7 +110,7 @@ class HeldReceipt:
     initiator: int
     candidate: int
     valency: str
-    reading: int
+    reading: tuple
     answered_by: int
     distributed_to: tuple = ()
     constraints: FeatureStructure = EMPTY
@@ -132,7 +121,7 @@ class HeldReceipt:
 class WordState(rt.ActorState):
     surface: str = ""
     position: int = 0
-    reading: int = 0
+    reading: tuple = ()
     word_class: str = ""
     concept: Optional[str] = None
     features: FeatureStructure = EMPTY
@@ -161,25 +150,21 @@ class ScannerState(rt.ActorState):
 
 # --------------------------------------------------------------------------
 # State predicates.  Everything is scoped to a reading context: entries
-# tagged with an ancestor of the context count, entries on other branches
-# do not exist as far as that context is concerned.
+# tagged with a prefix of the context count, entries on other branches do
+# not exist as far as that context is concerned.
 
-def _registry(ctx) -> ReadingRegistry:
-    return ctx.shared["readings"]
-
-
-def _slot_is_free(slot, reg, context):
+def _slot_is_free(slot, context):
     if not slot.fills:
         return True
-    seen = reg.ancestors_or_self(context)
+    seen = _prefixes(context)
     for f in slot.fills:
         if f.reading in seen:
             return False
     return True
 
 
-def _visible_fills(state, reg, context):
-    seen = reg.ancestors_or_self(context)
+def _visible_fills(state, context):
+    seen = _prefixes(context)
     out = []
     for slot in state.slots:
         for f in slot.fills:
@@ -188,33 +173,33 @@ def _visible_fills(state, reg, context):
     return out
 
 
-def _governing_link(state, reg, context) -> Optional[HeadLink]:
+def _governing_link(state, context) -> Optional[HeadLink]:
     if not state.head_links:
         return None
-    seen = reg.ancestors_or_self(context)
+    seen = _prefixes(context)
     best = None
     for link in state.head_links:
         if link.reading in seen:
-            if best is None or reg.depth(link.reading) > reg.depth(best.reading):
+            if best is None or len(link.reading) > len(best.reading):
                 best = link
     return best
 
 
-def _mandatory_right_open(state, reg, context) -> bool:
+def _mandatory_right_open(state, context) -> bool:
     for s in state.slots:
         spec = s.spec
         if (spec.necessity == lx.MANDATORY and spec.direction == lx.RIGHT
-                and _slot_is_free(s, reg, context)):
+                and _slot_is_free(s, context)):
             return True
     return False
 
 
-def _effective_concept(state, reg, context):
+def _effective_concept(state, context):
     """A phrase speaks for the concept of its root word; a word without a
     concept of its own borrows the first one among its filled valencies."""
     if state.concept:
         return state.concept
-    seen = reg.ancestors_or_self(context)
+    seen = _prefixes(context)
     for slot in state.slots:
         for f in slot.fills:
             if f.reading in seen and f.concept:
@@ -228,15 +213,15 @@ def _spec_view(v: lx.ValencyDef) -> dict:
             "necessity": v.necessity}
 
 
-def _profile(state, reg, context) -> dict:
+def _profile(state, context) -> dict:
     """What a searching word tells the world about itself."""
     free_left = [_spec_view(s.spec) for s in state.slots
-                 if s.spec.direction == lx.LEFT and _slot_is_free(s, reg, context)]
+                 if s.spec.direction == lx.LEFT and _slot_is_free(s, context)]
     return {
         "surface": state.surface,
         "word_class": state.word_class,
         "features": state.features,
-        "concept": _effective_concept(state, reg, context),
+        "concept": _effective_concept(state, context),
         "position": state.position,
         "left_edge": state.left_edge,
         "right_edge": state.right_edge,
@@ -266,11 +251,11 @@ def _admits(ctx, word_class, features, role, head_concept,
 def _fitting_slot(ctx, direction, context, modifier) -> Optional[Slot]:
     """The first own valency on the ``direction`` side that is empty in the
     reading and admits the phrase a profile describes, or None."""
-    state, reg = ctx.state, _registry(ctx)
-    own_concept = _effective_concept(state, reg, context)
+    state = ctx.state
+    own_concept = _effective_concept(state, context)
     for slot in state.slots:
         spec = slot.spec
-        if (spec.direction == direction and _slot_is_free(slot, reg, context)
+        if (spec.direction == direction and _slot_is_free(slot, context)
                 and _admits(ctx, spec.modifier_word_class, spec.morph_constraint,
                             spec.conceptual_role, own_concept, modifier["word_class"],
                             modifier["features"], modifier["concept"])):
@@ -311,7 +296,7 @@ def _launch_search(ctx, word_id, state, context):
     state.searches_launched.add(context)
     state.episodes[context] = ReceiptLedger({state.left_exit})
     ctx.send(state.left_exit, SEARCH_HEAD, initiator=word_id,
-             candidate=word_id, profile=_profile(state, _registry(ctx), context))
+             candidate=word_id, profile=_profile(state, context))
 
 
 def _maybe_release_deferral(ctx, context):
@@ -325,7 +310,7 @@ def _maybe_release_deferral(ctx, context):
         return
     if context in state.searches_launched:
         return
-    if _mandatory_right_open(state, _registry(ctx), context):
+    if _mandatory_right_open(state, context):
         return
     if state.left_exit is not None:
         _launch_search(ctx, ctx.actor_id, state, context)
@@ -342,13 +327,13 @@ def _maybe_release_deferral(ctx, context):
 def pre_search_head(ctx, env):
     """Distribution part of searchHead: a governed word passes the request
     on to its head before looking at it."""
-    link = _governing_link(ctx.state, _registry(ctx), env.params["profile"]["reading"])
+    link = _governing_link(ctx.state, env.params["profile"]["reading"])
     if link is not None:
         ctx.forward(link.head, env)
 
 
 def on_search_head(ctx, env):
-    state, reg = ctx.state, _registry(ctx)
+    state = ctx.state
     profile = env.params["profile"]
     context = profile["reading"]
     candidate = env.params["candidate"]
@@ -357,7 +342,7 @@ def on_search_head(ctx, env):
     if ctx.shared.get("debug_checks"):
         _assert_on_fringe(ctx, profile)
 
-    link = _governing_link(state, reg, context)
+    link = _governing_link(state, context)
     distributed = (link.head,) if link is not None else ()
 
     # First choice: one of the own empty rightward valencies fits the
@@ -374,8 +359,8 @@ def on_search_head(ctx, env):
             distributed_to=distributed, constraints=spec.morph_constraint)
         ctx.bump()
         ctx.send(candidate, HEAD_FOUND, initiator=episode,
-                 role="offer", offerer=ctx.actor_id, valency=spec.name,
-                 constraints=spec.morph_constraint, reading=context)
+                 role="offer", offerer=ctx.actor_id, offerer_position=state.position,
+                 valency=spec.name, constraints=spec.morph_constraint, reading=context)
         return
 
     # Second choice: the reverse attachment.  An ungoverned receiver whose
@@ -384,9 +369,9 @@ def on_search_head(ctx, env):
     # leftward valencies.
     if (link is None
             and state.pending_application is None
-            and not _mandatory_right_open(state, reg, context)
+            and not _mandatory_right_open(state, context)
             and state.right_edge == profile["left_edge"] - 1):
-        own_concept = _effective_concept(state, reg, context)
+        own_concept = _effective_concept(state, context)
         for spec in profile["left_slots"]:
             if not _admits(ctx, spec["word_class"], spec["features"], spec["role"],
                            profile["concept"], state.word_class, state.features,
@@ -400,7 +385,7 @@ def on_search_head(ctx, env):
             ctx.send(candidate, HEAD_FOUND, initiator=episode,
                      role="application", applicant=ctx.actor_id,
                      valency=spec["name"],
-                     profile=_profile(state, reg, context), reading=context)
+                     profile=_profile(state, context), reading=context)
             return
 
     ctx.send(episode, RECEIPT, initiator=episode, reading=context,
@@ -416,12 +401,12 @@ def on_head_found(ctx, env):
 
 def _on_offer(ctx, env):
     """The searching word hears that a slot is on offer for it."""
-    state, reg = ctx.state, _registry(ctx)
+    state = ctx.state
     context = env.params["reading"]
     offerer = env.params["offerer"]
     episode = env.params["initiator"]
 
-    if _governing_link(state, reg, context) is not None:
+    if _governing_link(state, context) is not None:
         _split_reading(ctx, env)
         return
 
@@ -437,7 +422,7 @@ def _on_offer(ctx, env):
              role="fills-your-slot", modifier=ctx.actor_id,
              valency=env.params["valency"], reading=context,
              left_edge=state.left_edge, right_edge=state.right_edge,
-             concept=_effective_concept(state, reg, context))
+             concept=_effective_concept(state, context))
 
 
 def _split_reading(ctx, env):
@@ -445,14 +430,15 @@ def _split_reading(ctx, env):
 
     The attachment that is already in place stays untouched in the current
     reading.  For the alternative, the word copies itself and its phrase
-    under a fresh child reading and asks the offerer to re-stage the offer
-    against the copy.
+    under a child reading named after the split and asks the offerer to
+    re-stage the offer against the copy.
     """
-    episode = env.params["initiator"]
-    branch = _registry(ctx).new_child(env.params["reading"])
+    p = env.params
+    episode = p["initiator"]
+    branch = p["reading"] + ((ctx.state.position, p["valency"], p["offerer_position"]),)
 
     twin, _left, _right = _spawn_copy(ctx, episode, branch, head_link=None, exclude=None)
-    ctx.send(env.params["offerer"], DUPLICATE_STRUCTURE, initiator=episode,
+    ctx.send(p["offerer"], DUPLICATE_STRUCTURE, initiator=episode,
              reading=branch, new_root=twin)
 
 
@@ -463,7 +449,7 @@ def _spawn_copy(ctx, episode, branch, head_link, exclude, pending_offer=None):
     withheld receipt the copy takes over arrives as ``pending_offer``.
     Returns the copy's id and the span of the copied phrase."""
     state = ctx.state
-    seen = _registry(ctx).ancestors_or_self(branch)
+    seen = _prefixes(branch)
     copied = []
     left = right = state.position
     for slot in state.slots:
@@ -632,24 +618,24 @@ def on_update_features(ctx, env):
         raise ProtocolError(f"{state.surface}: feature update no longer unifies")
     state.features = merged
     ctx.bump()
-    for _label, fill in _visible_fills(state, _registry(ctx), env.params["reading"]):
+    for _label, fill in _visible_fills(state, env.params["reading"]):
         ctx.forward(fill.filler, env)
 
 
 def _narrow_modifiers(ctx, context, delta, episode):
     """Start passing a feature restriction on to the own modifiers visible
     in the reading; each of them forwards it on to its own."""
-    for _label, fill in _visible_fills(ctx.state, _registry(ctx), context):
+    for _label, fill in _visible_fills(ctx.state, context):
         ctx.send(fill.filler, UPDATE_FEATURES, initiator=episode,
                  delta=delta, reading=context)
 
 
 def on_copy_structure(ctx, env):
     """Copy self under a new reading, hanging below the copy of the head."""
-    state, reg = ctx.state, _registry(ctx)
+    state = ctx.state
     p = env.params
     branch, episode = p["reading"], p["initiator"]
-    link = _governing_link(state, reg, branch)
+    link = _governing_link(state, branch)
     if link is None:
         raise ProtocolError(f"{state.surface}: asked to copy but has no head")
     twin, left, right = _spawn_copy(ctx, episode, branch,
@@ -658,7 +644,7 @@ def on_copy_structure(ctx, env):
     ctx.send(p["new_head"], HEAD_ACCEPTED, initiator=episode,
              role="fills-your-slot", modifier=twin, valency=link.label,
              reading=branch, left_edge=left, right_edge=right,
-             concept=_effective_concept(state, reg, branch))
+             concept=_effective_concept(state, branch))
 
 
 def on_duplicate_structure(ctx, env):
@@ -680,8 +666,8 @@ def on_duplicate_structure(ctx, env):
                                       exclude=held.candidate,
                                       pending_offer=replace(held, candidate=new_root))
     ctx.send(new_root, HEAD_FOUND, initiator=episode,
-             role="offer", offerer=twin, valency=held.valency,
-             constraints=held.constraints, reading=branch)
+             role="offer", offerer=twin, offerer_position=state.position,
+             valency=held.valency, constraints=held.constraints, reading=branch)
 
 
 # --------------------------------------------------------------------------
@@ -712,9 +698,8 @@ def on_scan_next(ctx, env):
     st.cursor += 1
     ctx.bump()
 
-    reg = _registry(ctx)
     left = st.prev_ids[0] if st.prev_ids else None
-    tags = [0] if len(entries) == 1 else [reg.new_child(0) for _ in entries]
+    tags = [()] if len(entries) == 1 else [((position, i),) for i in range(len(entries))]
 
     born = []
     for entry, tag in zip(entries, tags):
@@ -729,7 +714,7 @@ def on_scan_next(ctx, env):
     st.prev_ids = [wid for wid, _ in born]
 
     for wid, ws in born:
-        if _mandatory_right_open(ws, reg, ws.reading):
+        if _mandatory_right_open(ws, ws.reading):
             # The word must collect its rightward dependents before it can
             # tell what phrase it stands for; its head search waits.
             ws.deferred = True
@@ -858,7 +843,6 @@ def build_system(lexicon, kb, tokens, *, seed=0, mode="sequential",
 
     system.register_service("resolve_entry", resolve)
 
-    system.shared["readings"] = ReadingRegistry()
     system.shared["debug_checks"] = debug_checks
 
     scanner = system.spawn("scanner", "scanner",
@@ -885,26 +869,29 @@ def _scanner_state(system) -> ScannerState:
     return next(a.state for a in system.actors.values() if a.behavior.name == "scanner")
 
 
-def _effective_link(system, reg, actor, context):
+def _effective_link(system, actor, context):
     """The governing link of an actor, or failing that of the actor it was
     copied from.  A copy made on the offerer's side of a split keeps its
     original's attachment: only the re-rooted phrase changes heads."""
     state = actor.state
-    link = _governing_link(state, reg, context)
+    link = _governing_link(state, context)
     # A copy's origin was spawned before it, so the walk ends.
     while link is None and state.origin_of is not None:
         state = system.actors[state.origin_of].state
-        link = _governing_link(state, reg, context)
+        link = _governing_link(state, context)
     return link
 
 
 def read_out_trees(system) -> list:
     """One ParseTree per reading that materializes as a complete, single
-    rooted, projective tree with all mandatory valencies filled."""
-    reg = system.shared["readings"]
+    rooted, projective tree with all mandatory valencies filled.
+
+    The base reading comes first, then each word actor's tag in the order
+    of the first actor that carries it, which is the order the tags were
+    made in."""
     # One walk over the actors, in actor-id order: the tie rule of
     # _materialize depends on that order, and every visible list keeps it.
-    words, actor_pos, tags = [], {}, set()
+    words, actor_pos, tags = [], {}, {(): None}
     scanner = None
     for a in system.actors.values():
         name = a.behavior.name
@@ -912,31 +899,30 @@ def read_out_trees(system) -> list:
             st = a.state
             words.append(a)
             actor_pos[a.actor_id] = st.position
-            tags.add(st.reading)
+            tags.setdefault(st.reading)
         elif name == "scanner" and scanner is None:
             scanner = a.state
     positions = list(range(1, scanner.spawned + 1))
     out = []
-    for tag in sorted(reg.parent):
-        seen = reg.ancestors_or_self(tag)
-        if tags <= seen:
+    for tag in tags:
+        seen = _prefixes(tag)
+        if tags.keys() <= seen:
             visible = words
         else:
             visible = [a for a in words if a.state.reading in seen]
-        tree = _materialize(system, reg, visible, actor_pos, positions, tag)
+        tree = _materialize(system, visible, actor_pos, positions, tag)
         if tree is not None:
             out.append(tree)
     return out
 
 
-def _materialize(system, reg, visible, actor_pos, positions, tag):
+def _materialize(system, visible, actor_pos, positions, tag):
     """The tree of one reading tag from the word actors visible in it, or
     None."""
-    depth = reg.depth
     chosen, chosen_depth = {}, {}
     for a in visible:
         p = a.state.position
-        d = depth(a.state.reading)
+        d = len(a.state.reading)
         cur = chosen_depth.get(p)
         if cur is None or d > cur:
             chosen[p] = a
@@ -954,7 +940,7 @@ def _materialize(system, reg, visible, actor_pos, positions, tag):
     root = None
     taken = set()
     for p in positions:
-        link = _effective_link(system, reg, chosen[p], tag)
+        link = _effective_link(system, chosen[p], tag)
         if link is None:
             if root is not None:
                 return None     # a second root
@@ -1016,10 +1002,9 @@ def _materialize(system, reg, visible, actor_pos, positions, tag):
 def _assert_on_fringe(ctx, profile):
     """Debug check: searchHead may only reach the word whose phrase borders
     the candidate on the left, or a word on that word's head chain."""
-    reg = _registry(ctx)
     context = profile["reading"]
     border = profile["left_edge"] - 1
-    seen = reg.ancestors_or_self(context)
+    seen = _prefixes(context)
     own = ctx.state
     if own.right_edge == border and own.reading in seen:
         return      # the bordering word itself, where its head chain starts
@@ -1034,7 +1019,7 @@ def _assert_on_fringe(ctx, profile):
             if node.actor_id == ctx.actor_id:
                 return
             hops.add(node.actor_id)
-            link = _governing_link(node.state, reg, context)
+            link = _governing_link(node.state, context)
             node = ctx.system.actors.get(link.head) if link is not None else None
     raise ProtocolError(
         f"{own.surface}: searchHead reached a word outside the search fringe "

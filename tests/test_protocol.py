@@ -33,8 +33,8 @@ def test_sample_sentence_has_exactly_the_six_edges(demo_lexicon, demo_kb):
     assert len(trees) == 1
     assert trees[0].render() == "\n".join(DEMO_EDGES)
     assert pt.check_invariants(system, net, ETN) == []
-    # run facts live in the actors' states; the registry is all handlers share
-    assert sorted(system.shared) == ["debug_checks", "readings"]
+    # run facts live in the actors' states; handlers share only the debug flag
+    assert sorted(system.shared) == ["debug_checks"]
 
 
 def test_corpus_counts_and_oracle_agreement(demo_lexicon, demo_kb):
@@ -284,13 +284,13 @@ def test_check_invariants_reports_a_word_outside_the_spawned_positions(demo_lexi
 
 def _held(**fields):
     return pt.HeldReceipt(**{"initiator": 4, "candidate": 2, "valency": "dirobj",
-                             "reading": 0, "answered_by": 1, **fields})
+                             "reading": (), "answered_by": 1, **fields})
 
 
 @pytest.mark.parametrize("spoil, problem", [
-    ({"episodes": {0: pt.ReceiptLedger(expected={8, 3, 5}, received={5})}},
+    ({"episodes": {(): pt.ReceiptLedger(expected={8, 3, 5}, received={5})}},
      "Notebook@4: receipt ledger still open, waiting for [3, 8]"),
-    ({"episodes": {0: pt.ReceiptLedger(expected={3}, received={3, 6}, closed=True)}},
+    ({"episodes": {(): pt.ReceiptLedger(expected={3}, received={3, 6}, closed=True)}},
      "Notebook@4: ledger closed but out of balance"),
     ({"pending_offer": _held()}, "Notebook@4: head offer never answered"),
     ({"pending_application": _held()}, "Notebook@4: application never answered"),
@@ -399,21 +399,20 @@ def test_resolved_entries_do_not_outlive_the_parse(demo_lexicon, demo_kb):
 def _full_scan_fringe_check(ctx, profile):
     """The fringe check as first written: walk the head chain of every word
     actor that borders the candidate."""
-    reg = ctx.shared["readings"]
     context = profile["reading"]
     border = profile["left_edge"] - 1
     for a in ctx.system.actors.values():
         if a.behavior.name != "word":
             continue
         st = a.state
-        if st.right_edge != border or st.reading not in reg.ancestors_or_self(context):
+        if st.right_edge != border or st.reading not in pt._prefixes(context):
             continue
         node, hops = a, set()
         while node is not None and node.actor_id not in hops:
             if node.actor_id == ctx.actor_id:
                 return
             hops.add(node.actor_id)
-            link = pt._governing_link(node.state, reg, context)
+            link = pt._governing_link(node.state, context)
             node = ctx.system.actors.get(link.head) if link is not None else None
     own = ctx.state
     raise pt.ProtocolError(
@@ -423,18 +422,18 @@ def _full_scan_fringe_check(ctx, profile):
         f"search in reading {context}, border {border})")
 
 
-def _full_scan_materialize(system, reg, words, positions, tag):
+def _full_scan_materialize(system, words, positions, tag):
     """The readout of one tag as first written: a pass over every word
     actor, and a walk to the root from every position."""
     chosen = {}
     for a in words:
-        if a.state.reading not in reg.ancestors_or_self(tag):
+        if a.state.reading not in pt._prefixes(tag):
             continue
         p = a.state.position
         cur = chosen.get(p)
-        if cur is None or reg.depth(a.state.reading) > reg.depth(cur.state.reading):
+        if cur is None or len(a.state.reading) > len(cur.state.reading):
             chosen[p] = a
-        elif cur is not a and reg.depth(a.state.reading) == reg.depth(cur.state.reading):
+        elif cur is not a and len(a.state.reading) == len(cur.state.reading):
             return None
     if sorted(chosen) != positions:
         return None
@@ -442,7 +441,7 @@ def _full_scan_materialize(system, reg, words, positions, tag):
     actor_pos = {a.actor_id: a.state.position for a in words}
     roots, edges, taken = [], set(), set()
     for p, a in sorted(chosen.items()):
-        link = pt._effective_link(system, reg, a, tag)
+        link = pt._effective_link(system, a, tag)
         if link is None:
             roots.append(p)
             continue
@@ -497,10 +496,9 @@ class ScanRecorder:
             if got is not None:
                 raise pt.ProtocolError(got)
 
-        def checked_materialize(system, reg, visible, actor_pos, positions, tag):
-            got = materialize(system, reg, visible, actor_pos, positions, tag)
-            want = _full_scan_materialize(system, reg, pt._word_actors(system),
-                                          positions, tag)
+        def checked_materialize(system, visible, actor_pos, positions, tag):
+            got = materialize(system, visible, actor_pos, positions, tag)
+            want = _full_scan_materialize(system, pt._word_actors(system), positions, tag)
             self.readout.append((tag, got, want))
             return got
 
@@ -511,12 +509,22 @@ class ScanRecorder:
         start = len(self.readout)
         system, _net, trees = pt.run_parse(lexicon, kb, list(tokens), **kw)
         visited = [tag for tag, _, _ in self.readout[start:]]
-        assert visited == sorted(system.shared["readings"].parent)
+        assert visited == _tags_in_readout_order(system)
         return trees
 
     def mismatches(self):
         return ([(got, want) for got, want, _ in self.fringe if got != want]
                 + [(tag, got, want) for tag, got, want in self.readout if got != want])
+
+
+def _tags_in_readout_order(system):
+    """The base reading, then each word actor's tag in actor-id order of the
+    first actor that carries it."""
+    tags = [()]
+    for a in pt._word_actors(system):
+        if a.state.reading not in tags:
+            tags.append(a.state.reading)
+    return tags
 
 
 def _verdict(check, ctx, profile):
@@ -544,6 +552,62 @@ def test_rewritten_scans_agree_with_the_full_scans(monkeypatch, demo_lexicon, de
     # both halves of the fringe check ran, and readings were kept and dropped
     assert {borders for _, _, borders in scans.fringe} == {True, False}
     assert {got is None for _, got, _ in scans.readout} == {True, False}
+
+
+def _tag_runs(demo_kb, permissive_kb):
+    """(kb, tokens) of the runs the tag tests walk: the corpus, up to four
+    PPs after ``Compaq liefert einen Rechner``, and a final homonym."""
+    sentences = [list(tokens) for _, tokens in corpus_cases()]
+    sentences += [CHAIN_BASES[0].split() + k * "mit einer Harddisk".split() for k in range(5)]
+    sentences.append("mit Atari".split())
+    return [(kb, tokens) for kb in (demo_kb, permissive_kb) for tokens in sentences]
+
+
+def test_each_split_makes_its_own_tag(demo_lexicon, demo_kb, permissive_kb):
+    # A tag names the split that made it, so two splits must never name
+    # the same one: each split and each entry of a final homonym adds one
+    # tag, and no two word actors hold one position in one tag.
+    splits = 0
+    for (kb, tokens), mode, seed in itertools.product(_tag_runs(demo_kb, permissive_kb),
+                                                      ("sequential", "parallel"), range(10)):
+        system, net, _ = pt.run_parse(demo_lexicon, kb, tokens, seed=seed, mode=mode,
+                                      debug_checks=False)
+        run = (tokens, mode, seed)
+        words = pt._word_actors(system)
+        entries = len(lx.resolve_entry(demo_lexicon, tokens[-1]))
+        made = sum(e.key == pt.DUPLICATE_STRUCTURE for e in net.events)
+        made += entries if entries > 1 else 0
+        assert len({a.state.reading for a in words} - {()}) == made, run
+        names = [(a.state.position, a.state.reading) for a in words]
+        assert len(set(names)) == len(names), run
+        splits += made
+    assert splits
+
+
+def test_a_tag_names_its_reading(monkeypatch, demo_lexicon, demo_kb, permissive_kb):
+    # Whatever the schedule, a split tag that yields a tree yields the same
+    # tree; the base reading may differ, as it keeps whichever attachment
+    # came first.
+    yielded = []
+    materialize = pt._materialize
+
+    def recorded(system, visible, actor_pos, positions, tag):
+        tree = materialize(system, visible, actor_pos, positions, tag)
+        if tag and tree is not None:
+            yielded.append((tag, tree))
+        return tree
+
+    monkeypatch.setattr(pt, "_materialize", recorded)
+    tags = 0
+    for kb, tokens in _tag_runs(demo_kb, permissive_kb):
+        tree_of = {}
+        for mode, seed in itertools.product(("sequential", "parallel"), range(20)):
+            yielded.clear()
+            pt.run_parse(demo_lexicon, kb, tokens, seed=seed, mode=mode, debug_checks=False)
+            for tag, tree in yielded:
+                assert tree_of.setdefault(tag, tree) == tree, (tokens, mode, seed, tag)
+        tags += len(tree_of)
+    assert tags
 
 
 def test_copies_skip_the_excluded_word_and_follow_their_origins(demo_lexicon, demo_kb,
@@ -580,19 +644,27 @@ def test_rewritten_fringe_check_raises_where_the_full_scan_does(monkeypatch, dem
     # the refusal says where the search stood and which word it reached
     assert scans.fringe[-1][1] == (
         "mit: searchHead reached a word outside the search fringe (receiver at "
-        "position 5, left_edge 5, right_edge 7, reading 0; search in reading 0, border 5)")
+        "position 5, left_edge 5, right_edge 7, reading (); search in reading (), border 5)")
+
+
+# The last element of a hand-made tag: a homonym's entry or a split.
+TAG_STEPS = st.one_of(st.tuples(st.integers(1, 4), st.integers(0, 1)),
+                      st.tuples(st.integers(1, 4), st.sampled_from("ab"), st.integers(1, 4)))
 
 
 @st.composite
 def quiescent_states(draw):
     """A system holding hand-made word actors: random positions, reading
-    tags, head links (some to missing actors, some cyclic), copy origins and
-    mandatory valencies, so that ties, gaps, cycles and several roots occur."""
+    tags down to depth 3, head links (some to missing actors, some cyclic),
+    copy origins and mandatory valencies, so that ties, gaps, cycles and
+    several roots occur."""
     system, _scanner = pt.build_system(None, None, [])
-    reg = system.shared["readings"]
+    tags = [()]
     for _ in range(draw(st.integers(0, 4))):
-        reg.new_child(draw(st.sampled_from(sorted(reg.parent))))
-    tags = sorted(reg.parent)
+        parent = draw(st.sampled_from([t for t in tags if len(t) < 3]))
+        tag = parent + (draw(TAG_STEPS),)
+        if tag not in tags:
+            tags.append(tag)
     n = draw(st.integers(1, 4))
     pt._scanner_state(system).spawned = n
     first = system._next_actor_id
@@ -618,23 +690,18 @@ def quiescent_states(draw):
 @settings(max_examples=300)
 @given(quiescent_states())
 def test_readout_agrees_with_the_full_scan_on_random_states(system):
-    reg = system.shared["readings"]
     positions = list(range(1, pt._scanner_state(system).spawned + 1))
     words = pt._word_actors(system)
-    want = [_full_scan_materialize(system, reg, words, positions, tag)
-            for tag in sorted(reg.parent)]
+    want = [_full_scan_materialize(system, words, positions, tag)
+            for tag in _tags_in_readout_order(system)]
     assert pt.read_out_trees(system) == [t for t in want if t is not None]
 
 
-def _hand_made_state(n, words, tags=1):
+def _hand_made_state(n, words):
     """A system holding hand-made word actors at positions 1..n.  Each word
     is (position, reading, heads), a head being (index into ``words``,
-    label) and linked in the word's own reading; tags 1.. are children of
-    the base reading."""
+    label) and linked in the word's own reading."""
     system, _scanner = pt.build_system(None, None, [])
-    reg = system.shared["readings"]
-    for _ in range(tags - 1):
-        reg.new_child(0)
     pt._scanner_state(system).spawned = n
     first = system._next_actor_id
     for i, (position, reading, heads) in enumerate(words):
@@ -645,35 +712,50 @@ def _hand_made_state(n, words, tags=1):
     return system
 
 
+# Tags of the hand-made states below: a homonym's entry, and three splits
+# each nested in the one before.
+ENTRY = ((2, 1),)
+SPLIT = ((3, "b", 1),)
+SPLIT2 = SPLIT + ((3, "b", 2),)
+SPLIT3 = SPLIT2 + ((2, "b", 1),)
+
 # The random states above seldom draw a tree that fails only on its shape,
 # so each rejection branch of the readout gets a hand-made state here.
 READOUT_CASES = {
     # 1 -> 2, 1 -> 4 -> 3: every subtree contiguous
-    "projective": (4, [(1, 0, []), (2, 0, [(0, "a")]), (3, 0, [(3, "a")]),
-                       (4, 0, [(0, "b")])], 1, 1),
+    "projective": (4, [(1, (), []), (2, (), [(0, "a")]), (3, (), [(3, "a")]),
+                       (4, (), [(0, "b")])], 1),
     # 4 -> 2 crosses 1 -> 3
-    "crossing arcs": (4, [(1, 0, []), (2, 0, [(3, "a")]), (3, 0, [(0, "a")]),
-                          (4, 0, [(0, "b")])], 1, 0),
+    "crossing arcs": (4, [(1, (), []), (2, (), [(3, "a")]), (3, (), [(0, "a")]),
+                          (4, (), [(0, "b")])], 0),
     # 3 -> 1 spans the root at 2
-    "an arc over the root": (3, [(1, 0, [(2, "a")]), (2, 0, []), (3, 0, [(1, "a")])], 1, 0),
+    "an arc over the root": (3, [(1, (), [(2, "a")]), (2, (), []), (3, (), [(1, "a")])], 0),
     # 2 and 3 head each other; 1 is the root
-    "a cycle avoiding the root": (3, [(1, 0, []), (2, 0, [(2, "a")]), (3, 0, [(1, "a")])],
-                                  1, 0),
-    "two roots": (2, [(1, 0, []), (2, 0, [])], 1, 0),
-    # the head is visible only in tag 2, at a position past the text
-    "a head outside the reading": (2, [(1, 0, []), (2, 0, [(2, "a")]), (3, 2, [])], 3, 0),
-    "a head that is no actor": (2, [(1, 0, []), (2, 0, [(5, "a")])], 1, 0),
+    "a cycle avoiding the root": (3, [(1, (), []), (2, (), [(2, "a")]), (3, (), [(1, "a")])],
+                                  0),
+    "two roots": (2, [(1, (), []), (2, (), [])], 0),
+    # the head is visible only in a homonym's tag, at a position past the text
+    "a head outside the reading": (2, [(1, (), []), (2, (), [(2, "a")]), (3, ENTRY, [])], 0),
+    "a head that is no actor": (2, [(1, (), []), (2, (), [(5, "a")])], 0),
+    # 1 -a-> 2 -a-> 3 in the base.  The deepest visible word at each
+    # position counts: 1 -b-> 3 in SPLIT, 2 -b-> 3 in SPLIT2, and also
+    # 1 -b-> 2 in SPLIT3
+    "nested splits": (3, [(1, (), []), (2, (), [(0, "a")]), (3, (), [(1, "a")]),
+                          (3, SPLIT, [(0, "b")]), (3, SPLIT2, [(1, "b")]),
+                          (2, SPLIT3, [(0, "b")])], 4),
+    # two words at one position with one tag tie in that tag only
+    "a tie in a split": (2, [(1, (), []), (2, (), [(0, "a")]), (2, SPLIT, [(0, "b")]),
+                             (2, SPLIT, [(0, "a")])], 1),
 }
 
 
 @pytest.mark.parametrize("case", READOUT_CASES)
 def test_readout_agrees_with_the_full_scan_on_hand_made_states(case):
-    n, words, tags, readings = READOUT_CASES[case]
-    system = _hand_made_state(n, words, tags)
-    reg = system.shared["readings"]
-    want = [_full_scan_materialize(system, reg, pt._word_actors(system),
+    n, words, readings = READOUT_CASES[case]
+    system = _hand_made_state(n, words)
+    want = [_full_scan_materialize(system, pt._word_actors(system),
                                    list(range(1, n + 1)), tag)
-            for tag in sorted(reg.parent)]
+            for tag in _tags_in_readout_order(system)]
     got = pt.read_out_trees(system)
     assert got == [t for t in want if t is not None]
     assert len(got) == readings
