@@ -324,20 +324,20 @@ def _maybe_release_deferral(ctx, context):
 # --------------------------------------------------------------------------
 # Word handlers.
 
-def pre_search_head(ctx, env):
+def pre_search_head(ctx, msg):
     """Distribution part of searchHead: a governed word passes the request
     on to its head before looking at it."""
-    link = _governing_link(ctx.state, env.params["profile"]["reading"])
+    link = _governing_link(ctx.state, msg.params["profile"]["reading"])
     if link is not None:
-        ctx.forward(link.head, env)
+        ctx.forward(link.head, msg)
 
 
-def on_search_head(ctx, env):
+def on_search_head(ctx, msg):
     state = ctx.state
-    profile = env.params["profile"]
+    profile = msg.params["profile"]
     context = profile["reading"]
-    candidate = env.params["candidate"]
-    episode = env.params["initiator"]
+    candidate = msg.params["candidate"]
+    episode = msg.params["initiator"]
 
     if ctx.shared.get("debug_checks"):
         _assert_on_fringe(ctx, profile)
@@ -380,7 +380,7 @@ def on_search_head(ctx, env):
             state.pending_application = HeldReceipt(
                 initiator=episode, candidate=candidate, valency=spec["name"],
                 reading=context, answered_by=ctx.actor_id,
-                distributed_to=(), relay=dict(env.params))
+                distributed_to=(), relay=dict(msg.params))
             ctx.bump()
             ctx.send(candidate, HEAD_FOUND, initiator=episode,
                      role="application", applicant=ctx.actor_id,
@@ -392,40 +392,40 @@ def on_search_head(ctx, env):
              answered_by=ctx.actor_id, passed_on=list(distributed))
 
 
-def on_head_found(ctx, env):
-    if env.params["role"] == "offer":
-        _on_offer(ctx, env)
+def on_head_found(ctx, msg):
+    if msg.params["role"] == "offer":
+        _on_offer(ctx, msg)
     else:
-        _on_application(ctx, env)
+        _on_application(ctx, msg)
 
 
-def _on_offer(ctx, env):
+def _on_offer(ctx, msg):
     """The searching word hears that a slot is on offer for it."""
     state = ctx.state
-    context = env.params["reading"]
-    offerer = env.params["offerer"]
-    episode = env.params["initiator"]
+    context = msg.params["reading"]
+    offerer = msg.params["offerer"]
+    episode = msg.params["initiator"]
 
     if _governing_link(state, context) is not None:
-        _split_reading(ctx, env)
+        _split_reading(ctx, msg)
         return
 
-    if not _take_head(ctx, context, offerer, env.params["valency"],
-                      env.params["constraints"], episode):
+    if not _take_head(ctx, context, offerer, msg.params["valency"],
+                      msg.params["constraints"], episode):
         # The offer was computed against a profile that has since been
         # restricted by a concurrent attachment.  Withdraw; the offerer
         # still owes the episode a receipt.
         ctx.send(offerer, HEAD_RETRACTED, initiator=episode,
-                 valency=env.params["valency"], reading=context)
+                 valency=msg.params["valency"], reading=context)
         return
     ctx.send(offerer, HEAD_ACCEPTED, initiator=episode,
              role="fills-your-slot", modifier=ctx.actor_id,
-             valency=env.params["valency"], reading=context,
+             valency=msg.params["valency"], reading=context,
              left_edge=state.left_edge, right_edge=state.right_edge,
              concept=_effective_concept(state, context))
 
 
-def _split_reading(ctx, env):
+def _split_reading(ctx, msg):
     """A second head offer for an already governed word.
 
     The attachment that is already in place stays untouched in the current
@@ -433,7 +433,7 @@ def _split_reading(ctx, env):
     under a child reading named after the split and asks the offerer to
     re-stage the offer against the copy.
     """
-    p = env.params
+    p = msg.params
     episode = p["initiator"]
     branch = p["reading"] + ((ctx.state.position, p["valency"], p["offerer_position"]),)
 
@@ -450,12 +450,17 @@ def _spawn_copy(ctx, episode, branch, head_link, exclude, pending_offer=None):
     Returns the copy's id and the span of the copied phrase."""
     state = ctx.state
     seen = _prefixes(branch)
-    copied = []
+    # One walk over the fills builds the empty valencies, the labels to
+    # rebuild, the modifiers to copy and the copied span.
+    slots, rebuilds, modifiers = [], set(), []
     left = right = state.position
     for slot in state.slots:
+        spec = slot.spec
+        slots.append(Slot(spec))
         for fill in slot.fills:
             if fill.reading in seen and fill.filler != exclude:
-                copied.append((slot.spec.name, fill.filler))
+                rebuilds.add(spec.name)
+                modifiers.append(fill.filler)
                 if fill.left < left:
                     left = fill.left
                 if fill.right > right:
@@ -464,35 +469,33 @@ def _spawn_copy(ctx, episode, branch, head_link, exclude, pending_offer=None):
         acquaintances=dict(state.acquaintances),
         surface=state.surface, position=state.position, reading=branch,
         word_class=state.word_class, concept=state.concept,
-        features=state.features,
-        slots=[Slot(s.spec) for s in state.slots],
+        features=state.features, slots=slots,
         head_links=[head_link] if head_link is not None else [],
         left_edge=state.position, right_edge=state.position,
-        pending_offer=pending_offer,
-        expected_rebuilds={label for label, _modifier in copied},
+        pending_offer=pending_offer, expected_rebuilds=rebuilds,
         origin_of=ctx.actor_id)
     twin = ctx.spawn("word", state.surface, twin)
-    for _label, modifier in copied:
+    for modifier in modifiers:
         ctx.send(modifier, COPY_STRUCTURE, initiator=episode,
                  reading=branch, new_head=twin, exclude=exclude)
     return twin, left, right
 
 
-def _on_application(ctx, env):
+def _on_application(ctx, msg):
     """The searching word rules on an application, authoritatively: the
     applicant judged from an advertised profile that may be stale."""
     state = ctx.state
-    context = env.params["reading"]
-    applicant = env.params["applicant"]
-    ap = env.params["profile"]
-    episode = env.params["initiator"]
+    context = msg.params["reading"]
+    applicant = msg.params["applicant"]
+    ap = msg.params["profile"]
+    episode = msg.params["initiator"]
 
     chosen = None
     if ap["right_edge"] == state.left_edge - 1:
         chosen = _fitting_slot(ctx, lx.LEFT, context, ap)
     if chosen is None:
         ctx.send(applicant, HEAD_RETRACTED, initiator=episode,
-                 valency=env.params["valency"], reading=context)
+                 valency=msg.params["valency"], reading=context)
         return
 
     _add_dependent(ctx, chosen, Fill(context, applicant, ap["concept"],
@@ -504,17 +507,17 @@ def _on_application(ctx, env):
              reading=context)
 
 
-def on_head_accepted(ctx, env):
-    if env.params["role"] == "fills-your-slot":
-        _on_slot_filled(ctx, env)
+def on_head_accepted(ctx, msg):
+    if msg.params["role"] == "fills-your-slot":
+        _on_slot_filled(ctx, msg)
     else:
-        _on_application_accepted(ctx, env)
+        _on_application_accepted(ctx, msg)
 
 
-def _on_slot_filled(ctx, env):
+def _on_slot_filled(ctx, msg):
     """An offer came back accepted, or a copied modifier reports in."""
     state = ctx.state
-    p = env.params
+    p = msg.params
     label = p["valency"]
 
     for slot in state.slots:
@@ -539,9 +542,9 @@ def _on_slot_filled(ctx, env):
         _maybe_release_deferral(ctx, p["reading"])
 
 
-def _on_application_accepted(ctx, env):
+def _on_application_accepted(ctx, msg):
     state = ctx.state
-    p = env.params
+    p = msg.params
     context = p["reading"]
     episode = p["initiator"]
 
@@ -569,7 +572,7 @@ def _on_application_accepted(ctx, env):
              answered_by=ctx.actor_id, passed_on=passed)
 
 
-def on_head_retracted(ctx, env):
+def on_head_retracted(ctx, msg):
     """The candidate struck down an offer or application; the withheld
     receipt is released so the episode can still close."""
     state = ctx.state
@@ -591,35 +594,35 @@ def _release(ctx, held):
              passed_on=list(held.distributed_to))
 
 
-def on_receipt(ctx, env):
+def on_receipt(ctx, msg):
     state = ctx.state
-    ledger = state.episodes.get(env.params["reading"])
+    ledger = state.episodes.get(msg.params["reading"])
     if ledger is None or ledger.closed:
         raise ProtocolError(f"{state.surface}: receipt without an open ledger")
-    sender = env.params["answered_by"]
+    sender = msg.params["answered_by"]
     if sender in ledger.received:
         raise ProtocolError(f"{state.surface}: duplicate receipt from actor {sender}")
     ledger.received.add(sender)
     # A receipt may overtake the receipt of the word that passed the search
     # on, so `received` can run ahead of `expected`; the two agree again at
     # closing time because the forwarder itself still owes its receipt.
-    ledger.expected.update(env.params["passed_on"])
+    ledger.expected.update(msg.params["passed_on"])
     ctx.bump()
     if ledger.received == ledger.expected:
         ledger.closed = True
         ctx.send(state.acquaintances["scanner"], SCAN_NEXT, initiator=ctx.actor_id)
 
 
-def on_update_features(ctx, env):
+def on_update_features(ctx, msg):
     state = ctx.state
-    delta = env.params["delta"]
+    delta = msg.params["delta"]
     merged = ctx.request("unify", state.features, delta)
     if merged is None:
         raise ProtocolError(f"{state.surface}: feature update no longer unifies")
     state.features = merged
     ctx.bump()
-    for _label, fill in _visible_fills(state, env.params["reading"]):
-        ctx.forward(fill.filler, env)
+    for _label, fill in _visible_fills(state, msg.params["reading"]):
+        ctx.forward(fill.filler, msg)
 
 
 def _narrow_modifiers(ctx, context, delta, episode):
@@ -630,10 +633,10 @@ def _narrow_modifiers(ctx, context, delta, episode):
                  delta=delta, reading=context)
 
 
-def on_copy_structure(ctx, env):
+def on_copy_structure(ctx, msg):
     """Copy self under a new reading, hanging below the copy of the head."""
     state = ctx.state
-    p = env.params
+    p = msg.params
     branch, episode = p["reading"], p["initiator"]
     link = _governing_link(state, branch)
     if link is None:
@@ -647,12 +650,12 @@ def on_copy_structure(ctx, env):
              concept=_effective_concept(state, branch))
 
 
-def on_duplicate_structure(ctx, env):
+def on_duplicate_structure(ctx, msg):
     """The offerer's side of an ambiguity split: copy the own phrase minus
     the candidate's re-rooted part, move the withheld receipt onto the
     copy, and repeat the offer against the new dependent root."""
     state = ctx.state
-    p = env.params
+    p = msg.params
     branch, new_root, episode = p["reading"], p["new_root"], p["initiator"]
     held = state.pending_offer
     if held is None:
@@ -673,7 +676,7 @@ def on_duplicate_structure(ctx, env):
 # --------------------------------------------------------------------------
 # Scanner.
 
-def on_scan_next(ctx, env):
+def on_scan_next(ctx, msg):
     st = ctx.state
     if st.cursor >= len(st.tokens):
         return
@@ -891,7 +894,8 @@ def read_out_trees(system) -> list:
     made in."""
     # One walk over the actors, in actor-id order: the tie rule of
     # _materialize depends on that order, and every visible list keeps it.
-    words, actor_pos, tags = [], {}, {(): None}
+    # Each tag is numbered once, so a reading picks its actors by number.
+    words, actor_pos, tags, tag_of = [], {}, {(): 0}, []
     scanner = None
     for a in system.actors.values():
         name = a.behavior.name
@@ -899,26 +903,28 @@ def read_out_trees(system) -> list:
             st = a.state
             words.append(a)
             actor_pos[a.actor_id] = st.position
-            tags.setdefault(st.reading)
+            tag_of.append(tags.setdefault(st.reading, len(tags)))
         elif name == "scanner" and scanner is None:
             scanner = a.state
     positions = list(range(1, scanner.spawned + 1))
+    edges = {}      # shared by the trees of this readout
     out = []
     for tag in tags:
-        seen = _prefixes(tag)
-        if tags.keys() <= seen:
+        seen = {tags[t] for t in _prefixes(tag) if t in tags}
+        if len(seen) == len(tags):
             visible = words
         else:
-            visible = [a for a in words if a.state.reading in seen]
-        tree = _materialize(system, visible, actor_pos, positions, tag)
+            visible = [a for a, t in zip(words, tag_of) if t in seen]
+        tree = _materialize(system, visible, actor_pos, positions, tag, edges)
         if tree is not None:
             out.append(tree)
     return out
 
 
-def _materialize(system, visible, actor_pos, positions, tag):
+def _materialize(system, visible, actor_pos, positions, tag, edges):
     """The tree of one reading tag from the word actors visible in it, or
-    None."""
+    None.  ``edges`` maps the fields of each edge made so far to that
+    edge, which the new tree shares."""
     chosen, chosen_depth = {}, {}
     for a in visible:
         p = a.state.position
@@ -990,10 +996,16 @@ def _materialize(system, visible, actor_pos, positions, tag):
             hi[h] = hi[p]
         size[h] += size[p]
 
-    return tr.ParseTree(root, chosen[root].state.surface, frozenset(
-        tr.Edge(head_of[p], chosen[head_of[p]].state.surface, label_of[p],
-                p, chosen[p].state.surface)
-        for p in positions if p != root))
+    tree_edges = []
+    for p in positions:
+        if p != root:
+            h = head_of[p]
+            key = (h, chosen[h].state.surface, label_of[p], p, chosen[p].state.surface)
+            edge = edges.get(key)
+            if edge is None:
+                edge = edges[key] = tr.Edge(*key)
+            tree_edges.append(edge)
+    return tr.ParseTree(root, chosen[root].state.surface, frozenset(tree_edges))
 
 
 # --------------------------------------------------------------------------

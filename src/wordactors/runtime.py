@@ -1,28 +1,30 @@
 """A small serialized-actor runtime with a seeded deterministic scheduler.
 
-Actors process one message at a time.  Posting is asynchronous: an envelope
-goes into a pending pool and is delivered later, in an order chosen by a
-seeded random number generator, so arrival order is unpredictable in
-principle yet exactly reproducible per seed.  Delivering one envelope runs,
-atomically: the receiving behavior's pre-distribution rule (which may
-forward the message), the handler itself (the computation), and the
-post-distribution rule.  Distribution rules forward the message itself,
-not a copy, with ``Context.forward``.  Every arrival is recorded as one
-event whose causes are the events that posted the message.  The event
-keeps the params dict of the message itself, so the event of a forwarded
-message holds its cause's dict; nothing is copied or rendered during
-delivery.  A message's initiator, where it has one, is an ordinary param.
-The JSONL export writes them as json writes them, a feature structure as
-its text, and refuses any other value.
+Actors process one message at a time.  Posting is asynchronous: a message
+in flight is a plain ``(target, key, params, cause)`` tuple in a pending
+pool, delivered later in an order chosen by a seeded random number
+generator, so arrival order is unpredictable in principle yet exactly
+reproducible per seed.  The arrival of a message is recorded as one event,
+whose causes are the events that posted it, and a delivered message is
+that event: the receiving behavior's pre-distribution rule (which may
+forward the message), the handler itself (the computation) and the
+post-distribution rule all get it and read its ``key`` and ``params``, and
+run atomically.  Distribution rules forward the message itself, not a
+copy, with ``Context.forward``.  The event keeps the params dict of the
+message itself, so the event of a forwarded message holds its cause's
+dict; nothing is copied or rendered during delivery.  A message's
+initiator, where it has one, is an ordinary param.  The JSONL export
+writes params as json writes them, a feature structure as its text, and
+refuses any other value.
 
-Messages here are plain envelope values rather than actors in their own
-right; the distribution hooks preserve the observable effect (forwarding
-decided by message plus receiver state, recorded as extra sends of the
-same arrival event).
+Messages here are plain values rather than actors in their own right; the
+distribution hooks preserve the observable effect (forwarding decided by
+message plus receiver state, recorded as extra sends of the same arrival
+event).
 
 Two modes share one semantics contract.  The normative ``sequential`` mode
-delivers one envelope at a time.  The ``parallel`` mode picks, per round, a
-batch of pending envelopes addressed to pairwise distinct actors and
+delivers one message at a time.  The ``parallel`` mode picks, per round, a
+batch of pending messages addressed to pairwise distinct actors and
 delivers the whole batch before considering messages posted meanwhile; the
 recorded network is still a valid linearization, it just explores a
 different legal schedule.  Handlers never touch other actors' state, so no
@@ -57,12 +59,6 @@ class LivelockError(RuntimeError):
     def __init__(self, message: str, network: ev.EventNetwork):
         super().__init__(message)
         self.network = network
-
-
-@dataclass(slots=True)
-class MessageEnvelope:
-    key: str
-    params: dict
 
 
 @dataclass
@@ -108,7 +104,8 @@ class BehaviorDef:
 
 @dataclass
 class SchedulerState:
-    pending: list = field(default_factory=list)  # (target, envelope, cause id or None)
+    # one (target, key, params, cause id or None) per message in flight
+    pending: list = field(default_factory=list)
 
 
 class Actor:
@@ -166,7 +163,7 @@ class Context:
         ``json.dumps(sort_keys=True)`` writes itself and feature
         structures; the JSONL export refuses anything else.  The
         initiator of a message is one of its params like any other, so a
-        receiver that relays ``**env.params`` relays it too.
+        receiver that relays ``**msg.params`` relays it too.
         """
         system = self.system
         event = self._event
@@ -174,17 +171,17 @@ class Context:
             self._refuse(key)
         system.post(target, key, params, event)
 
-    def forward(self, target: int, envelope: MessageEnvelope) -> None:
-        """Post ``envelope``, the message being delivered, on to ``target``
-        unchanged: the same key and the same params dict, the initiator
-        among them.  Its event keeps that dict, as the event of the delivery
-        does.  The checks are those of ``send``."""
+    def forward(self, target: int, message: ev.Event) -> None:
+        """Post ``message``, the event being delivered, on to ``target``
+        unchanged: its key and its very params dict, the initiator among
+        them.  The event of that delivery keeps the same dict.  The checks
+        are those of ``send``."""
         system = self.system
         event = self._event
-        key = envelope.key
+        key = message.key
         if system._current_event != event or key not in self._allowed:
             self._refuse(key)
-        system.post(target, key, envelope.params, event)
+        system.post(target, key, message.params, event)
 
     def _refuse(self, key: str) -> None:
         """Raise why this context may not send ``key`` now."""
@@ -268,13 +265,12 @@ class System:
 
     def post(self, target: int, key: str, params: Optional[dict] = None,
              cause: Optional[int] = None) -> None:
-        """Queue an envelope; no processing happens until delivery.  Its
+        """Queue a message; no processing happens until delivery.  Its
         event will keep ``params`` itself as its params, the initiator
         among them where the message has one."""
         if target not in self.actors:
             raise ContractViolation(f"post to unknown actor {target}")
-        env = MessageEnvelope(key, {} if params is None else params)
-        self.scheduler.pending.append((target, env, cause))
+        self.scheduler.pending.append((target, key, {} if params is None else params, cause))
 
     def request(self, service: str, *args):
         """Synchronous call to a pure service, legal only inside an event."""
@@ -297,7 +293,7 @@ class System:
         """Parallel mode: snapshot one round of deliveries to distinct actors."""
         pending = self.scheduler.pending
         if len(pending) == 1:
-            # A shuffle of one index draws nothing: the lone envelope is
+            # A shuffle of one index draws nothing: the lone message is
             # the round, and the generator is left as it was.
             self._batch = [pending.pop()]
             return
@@ -325,13 +321,13 @@ class System:
             pending[:] = [item for item in pending if item is not None]
 
     def deliver_next(self) -> Optional[ev.Event]:
-        """Deliver one envelope; None at quiescence."""
+        """Deliver one message; None at quiescence."""
         if self.mode == "parallel":
             if not self._batch:
                 if not self.scheduler.pending:
                     return None
                 self._fill_batch()
-            target, envelope, cause = self._batch.pop()
+            target, key, params, cause = self._batch.pop()
         else:
             pending = self.scheduler.pending
             if not pending:
@@ -342,37 +338,38 @@ class System:
             i = getrandbits(k)
             while i >= n:
                 i = getrandbits(k)
-            target, envelope, cause = pending.pop(i)
-        return self._execute(target, envelope, cause)
+            target, key, params, cause = pending.pop(i)
+        return self._execute(target, key, params, cause)
 
-    def _execute(self, target: int, envelope: MessageEnvelope, cause: Optional[int]) -> ev.Event:
+    def _execute(self, target: int, key: str, params: dict, cause: Optional[int]) -> ev.Event:
+        """Record the arrival of one message as its event, then run the
+        receiver's hooks and handler on that event."""
         actor = self.actors[target]
         behavior = actor.behavior
-        handler = behavior.handlers.get(envelope.key)
+        handler = behavior.handlers.get(key)
         if handler is None:
             raise ContractViolation(
-                f"behavior {behavior.name!r} has no handler for key {envelope.key!r}")
+                f"behavior {behavior.name!r} has no handler for key {key!r}")
 
         causes = (cause,) if cause is not None else ()
-        event = self.net.record(target, envelope.key, envelope.params, causes,
-                                actor.state_version)
+        event = self.net.record(target, key, params, causes, actor.state_version)
         event_id = event.event_id
 
         self._current_event = event_id
-        ctx = Context(self, actor, event_id, behavior.allowed_keys(envelope.key))
+        ctx = Context(self, actor, event_id, behavior.allowed_keys(key))
         try:
-            pre = behavior.pre_distribution.get(envelope.key)
+            pre = behavior.pre_distribution.get(key)
             if pre is not None:
-                pre(ctx, envelope)
-            result = handler(ctx, envelope)
-            post = behavior.post_distribution.get(envelope.key)
+                pre(ctx, event)
+            result = handler(ctx, event)
+            post = behavior.post_distribution.get(key)
             if post is not None:
-                post(ctx, envelope, result)
+                post(ctx, event, result)
         except (ContractViolation, LivelockError):
             raise
         except Exception as err:
             raise HandlerFailure(
-                f"handler for {envelope.key!r} failed at event {event_id} "
+                f"handler for {key!r} failed at event {event_id} "
                 f"(actor {actor.display_name}): {err}") from err
         finally:
             self._current_event = None
@@ -392,11 +389,11 @@ class System:
             if steps > self.step_ceiling:
                 raise LivelockError(
                     f"possible livelock: step ceiling {self.step_ceiling} exceeded "
-                    f"({len(self.scheduler.pending)} envelopes still pending)", self.net)
+                    f"({len(self.scheduler.pending)} messages still pending)", self.net)
 
     # -- bootstrap --------------------------------------------------------
 
     def kick(self, target: int, key: str, params: Optional[dict] = None) -> None:
-        """Post an initial envelope from outside any event (no cause).  Its
+        """Post an initial message from outside any event (no cause).  Its
         event keeps a copy of ``params``, which the caller may edit later."""
         self.post(target, key, dict(params) if params else None, cause=None)

@@ -162,9 +162,9 @@ def test_withdrawn_offer_releases_the_receipt(demo_lexicon, demo_kb):
     corrupted = 0
     while True:
         if not corrupted:
-            for _target, env, _cause in system.scheduler.pending:
-                if env.key == pt.HEAD_FOUND and env.params.get("role") == "offer":
-                    env.params["constraints"] = parse_fs("{case: qqq}")
+            for _target, key, params, _cause in system.scheduler.pending:
+                if key == pt.HEAD_FOUND and params.get("role") == "offer":
+                    params["constraints"] = parse_fs("{case: qqq}")
                     corrupted += 1
         if system.deliver_next() is None:
             break
@@ -496,8 +496,8 @@ class ScanRecorder:
             if got is not None:
                 raise pt.ProtocolError(got)
 
-        def checked_materialize(system, visible, actor_pos, positions, tag):
-            got = materialize(system, visible, actor_pos, positions, tag)
+        def checked_materialize(system, visible, actor_pos, positions, tag, edges):
+            got = materialize(system, visible, actor_pos, positions, tag, edges)
             want = _full_scan_materialize(system, pt._word_actors(system), positions, tag)
             self.readout.append((tag, got, want))
             return got
@@ -591,8 +591,8 @@ def test_a_tag_names_its_reading(monkeypatch, demo_lexicon, demo_kb, permissive_
     yielded = []
     materialize = pt._materialize
 
-    def recorded(system, visible, actor_pos, positions, tag):
-        tree = materialize(system, visible, actor_pos, positions, tag)
+    def recorded(system, visible, actor_pos, positions, tag, edges):
+        tree = materialize(system, visible, actor_pos, positions, tag, edges)
         if tag and tree is not None:
             yielded.append((tag, tree))
         return tree
@@ -743,6 +743,18 @@ READOUT_CASES = {
     "nested splits": (3, [(1, (), []), (2, (), [(0, "a")]), (3, (), [(1, "a")]),
                           (3, SPLIT, [(0, "b")]), (3, SPLIT2, [(1, "b")]),
                           (2, SPLIT3, [(0, "b")])], 4),
+    # the base reading 1 -a-> 2, 1 -b-> 3 and its split 1 -a-> 2, 1 -b-> 3'
+    # share the attachment of 2; 3' attaches as 3 does but is another word
+    "two readings sharing an attachment": (3, [(1, (), []), (2, (), [(0, "a")]),
+                                               (3, (), [(0, "b")]), (3, SPLIT, [(0, "b")])],
+                                           2),
+    # the head of 2 sits at position 0, in a reading that has no tree
+    "a head before the first position": (2, [(1, (), []), (2, (), [(2, "a")]),
+                                             (0, ENTRY, [])], 0),
+    # the base has its tree; in the split, 2' hangs below an actor id that
+    # names nothing
+    "a split whose head is no actor": (2, [(1, (), []), (2, (), [(0, "a")]),
+                                           (2, SPLIT, [(7, "a")])], 1),
     # two words at one position with one tag tie in that tag only
     "a tie in a split": (2, [(1, (), []), (2, (), [(0, "a")]), (2, SPLIT, [(0, "b")]),
                              (2, SPLIT, [(0, "a")])], 1),
@@ -759,3 +771,8 @@ def test_readout_agrees_with_the_full_scan_on_hand_made_states(case):
     got = pt.read_out_trees(system)
     assert got == [t for t in want if t is not None]
     assert len(got) == readings
+    # the trees of one readout share each edge they have in common
+    shared = {}
+    for tree in got:
+        for edge in tree.edges:
+            assert shared.setdefault(edge, edge) is edge

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import pytest
 
 from wordactors import events as ev
+from wordactors import protocol as pt
 from wordactors import runtime as rt
 from wordactors.features import parse_fs
 
@@ -260,6 +261,55 @@ def test_forward_posts_the_message_being_delivered():
     assert ev.validate_trace(net, ev.derive_etn(system.behaviors.values())) == []
 
 
+def test_a_delivered_message_is_its_recorded_event():
+    # the pre-hook, the handler and the post-hook all get the event the
+    # runtime recorded for the delivery, not a second object
+    got = []
+
+    def hook(name):
+        def keep(ctx, msg, *result):
+            got.append((name, msg))
+        return keep
+
+    system = rt.System()
+    system.register_behavior(rt.BehaviorDef(
+        name="hooked", handlers={"ping": hook("handler")},
+        action_trees={"ping": ev.Seq()},
+        pre_distribution={"ping": hook("pre")},
+        post_distribution={"ping": hook("post")}))
+    a = system.spawn("hooked", "a", rt.ActorState())
+    system.kick(a, "ping", {"n": 1})
+    system.kick(a, "ping", {"n": 2})
+    delivered = [system.deliver_next(), system.deliver_next()]
+    assert system.deliver_next() is None
+    assert [name for name, _ in got] == ["pre", "handler", "post"] * 2
+    for name, msg in got:
+        assert msg is system.net.events[msg.event_id], name
+    assert [msg for _, msg in got] == [delivered[0]] * 3 + [delivered[1]] * 3
+    assert sorted(e.params["n"] for e in delivered) == [1, 2]
+
+
+@pytest.mark.parametrize("mode", ["sequential", "parallel"])
+def test_a_forwarded_event_holds_its_causes_params(demo_lexicon, demo_kb, mode):
+    # In a parse, searchHead and updateFeatures are forwarded, and only
+    # forwarded, by a delivery of the same key; such an event keeps its
+    # cause's very params dict, which the JSONL export writes once.
+    forwarded = {pt.SEARCH_HEAD: 0, pt.UPDATE_FEATURES: 0}
+    tokens = "Compaq liefert einen Rechner mit einer Harddisk mit einer Harddisk".split()
+    for seed in range(5):
+        _system, net, trees = pt.run_parse(demo_lexicon, demo_kb, tokens, seed=seed,
+                                           mode=mode)
+        assert trees
+        events = net.events
+        for e in events:
+            if e.key in forwarded and e.causes:
+                (cause,) = e.causes
+                if events[cause].key == e.key:
+                    assert e.params is events[cause].params, (seed, e.event_id)
+                    forwarded[e.key] += 1
+    assert all(forwarded.values()), forwarded
+
+
 def test_forward_of_an_undeclared_key_is_a_contract_violation():
     system, _a, _b = _relay_system([], forwarded_keys=())
     with pytest.raises(rt.ContractViolation,
@@ -270,9 +320,11 @@ def test_forward_of_an_undeclared_key_is_a_contract_violation():
 
 def test_a_kept_context_cannot_forward():
     ctx, a = _kept_context()
+    delivered = ctx.system.net.events[-1]   # the ping delivered to that context
+    assert (delivered.target, delivered.key) == (a, "ping")
     with pytest.raises(rt.ContractViolation,
                        match="messages can only be sent from inside a computation event"):
-        ctx.forward(a, rt.MessageEnvelope("ping", {"n": 1}))
+        ctx.forward(a, delivered)
     assert not ctx.system.scheduler.pending
 
 
@@ -448,7 +500,7 @@ def test_parallel_rounds_with_repeated_receivers():
                     drained += 1
                 delivered = [system.deliver_next() for _ in batch]
                 assert [(e.target, e.params["n"]) for e in delivered] == batch, (seed, n)
-                assert [(t, env.params["n"]) for t, env, _ in system.scheduler.pending] \
+                assert [(t, params["n"]) for t, _key, params, _ in system.scheduler.pending] \
                     == left, (seed, n)
                 pending = left
             assert system.deliver_next() is None

@@ -132,11 +132,11 @@ def test_exported_params_equal_their_delivery_snapshots(request, monkeypatch, de
     snapshots = {}
     execute = rt.System._execute
 
-    def snapshot_then_execute(system, target, envelope, cause):
+    def snapshot_then_execute(system, target, key, params, cause):
         # _execute records the event first, so it gets the next id
-        snapshots[len(system.net.events)] = json.dumps(envelope.params, sort_keys=True,
+        snapshots[len(system.net.events)] = json.dumps(params, sort_keys=True,
                                                        default=fs_text)
-        return execute(system, target, envelope, cause)
+        return execute(system, target, key, params, cause)
 
     monkeypatch.setattr(rt.System, "_execute", snapshot_then_execute)
     system, net, _trees = pt.run_parse(demo_lexicon, request.getfixturevalue(kb),
