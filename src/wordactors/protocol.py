@@ -339,9 +339,6 @@ def on_search_head(ctx, msg):
     candidate = msg.params["candidate"]
     episode = msg.params["initiator"]
 
-    if ctx.shared.get("debug_checks"):
-        _assert_on_fringe(ctx, profile)
-
     link = _governing_link(state, context)
     distributed = (link.head,) if link is not None else ()
 
@@ -846,7 +843,8 @@ def build_system(lexicon, kb, tokens, *, seed=0, mode="sequential",
 
     system.register_service("resolve_entry", resolve)
 
-    system.shared["debug_checks"] = debug_checks
+    if debug_checks:
+        system.observers[SEARCH_HEAD] = _assert_on_fringe
 
     scanner = system.spawn("scanner", "scanner",
                            ScannerState(tokens=list(tokens), lenient=lenient))
@@ -1011,16 +1009,20 @@ def _materialize(system, visible, actor_pos, positions, tag, edges):
 # --------------------------------------------------------------------------
 # Run-level checks and projections.
 
-def _assert_on_fringe(ctx, profile):
-    """Debug check: searchHead may only reach the word whose phrase borders
-    the candidate on the left, or a word on that word's head chain."""
+def _assert_on_fringe(system, event):
+    """Debug check, the runtime's observer of every searchHead delivery:
+    searchHead may only reach the word whose phrase borders the candidate
+    on the left, or a word on that word's head chain."""
+    receiver = event.target
+    profile = event.params["profile"]
     context = profile["reading"]
     border = profile["left_edge"] - 1
     seen = _prefixes(context)
-    own = ctx.state
+    actors = system.actors
+    own = actors[receiver].state
     if own.right_edge == border and own.reading in seen:
         return      # the bordering word itself, where its head chain starts
-    for a in ctx.system.actors.values():
+    for a in actors.values():
         if a.behavior.name != "word":
             continue
         st = a.state
@@ -1028,11 +1030,11 @@ def _assert_on_fringe(ctx, profile):
             continue
         node, hops = a, set()
         while node is not None and node.actor_id not in hops:
-            if node.actor_id == ctx.actor_id:
+            if node.actor_id == receiver:
                 return
             hops.add(node.actor_id)
             link = _governing_link(node.state, context)
-            node = ctx.system.actors.get(link.head) if link is not None else None
+            node = actors.get(link.head) if link is not None else None
     raise ProtocolError(
         f"{own.surface}: searchHead reached a word outside the search fringe "
         f"(receiver at position {own.position}, left_edge {own.left_edge}, "

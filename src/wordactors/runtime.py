@@ -27,8 +27,9 @@ delivers one message at a time.  The ``parallel`` mode picks, per round, a
 batch of pending messages addressed to pairwise distinct actors and
 delivers the whole batch before considering messages posted meanwhile; the
 recorded network is still a valid linearization, it just explores a
-different legal schedule.  Handlers never touch other actors' state, so no
-locking is needed in either mode.
+different legal schedule.  Handlers never touch other actors' state (a
+context reaches only the receiving actor), so no locking is needed in
+either mode.
 
 Synchronous services (unification, taxonomy queries, lexicon lookup) are
 pure evaluations callable only from inside a computation event via
@@ -127,27 +128,29 @@ def _request_after_delivery(service: str, *args):
 
 
 class Context:
-    """Handler-side view of the system during one computation event.
+    """Handler-side view of one computation event: the receiving actor and
+    nothing else.
 
     Its fields are fixed when the delivery starts: ``actor_id`` is the
     receiver's id, ``state`` the receiving actor's own state object (a
-    handler changes it in place), ``shared`` the system's shared knowledge,
-    and ``request`` the system's service call.  A context kept past its
+    handler changes it in place), and ``request`` the system's service
+    call.  There is no shared knowledge and no public way to the system or
+    to other actors: only ``send``, ``forward`` and ``spawn`` reach the
+    system, through the private ``_system``.  A context kept past its
     delivery can neither send, spawn nor call a service, neither after the
     run nor during another delivery: ``send`` and ``spawn`` refuse unless
     its event is the one being delivered, and once the delivery ends, its
     ``request`` is replaced by one that refuses.
     """
 
-    __slots__ = ("system", "actor", "actor_id", "state", "shared", "request",
+    __slots__ = ("_system", "actor", "actor_id", "state", "request",
                  "_event", "_allowed")
 
     def __init__(self, system: "System", actor: Actor, event: int, allowed: frozenset):
-        self.system = system
+        self._system = system
         self.actor = actor
         self.actor_id = actor.actor_id
         self.state = actor.state
-        self.shared = system.shared
         self.request = system.request
         self._event = event
         self._allowed = allowed
@@ -165,7 +168,7 @@ class Context:
         initiator of a message is one of its params like any other, so a
         receiver that relays ``**msg.params`` relays it too.
         """
-        system = self.system
+        system = self._system
         event = self._event
         if system._current_event != event or key not in self._allowed:
             self._refuse(key)
@@ -176,7 +179,7 @@ class Context:
         unchanged: its key and its very params dict, the initiator among
         them.  The event of that delivery keeps the same dict.  The checks
         are those of ``send``."""
-        system = self.system
+        system = self._system
         event = self._event
         key = message.key
         if system._current_event != event or key not in self._allowed:
@@ -185,7 +188,7 @@ class Context:
 
     def _refuse(self, key: str) -> None:
         """Raise why this context may not send ``key`` now."""
-        system = self.system
+        system = self._system
         event = self._event
         if system._current_event is None:
             raise ContractViolation(
@@ -201,7 +204,7 @@ class Context:
     def spawn(self, behavior_name: str, display_name: str, state: ActorState) -> int:
         """Create an actor; its creation event is caused by this context's
         event, so only during that event's own delivery."""
-        system = self.system
+        system = self._system
         event = self._event
         if system._current_event != event:
             if system._current_event is None:
@@ -217,7 +220,15 @@ class Context:
 
 
 class System:
-    """One run: behaviors, actors, scheduler, recorder, shared knowledge."""
+    """One run: behaviors, actors, scheduler, recorder and delivery observers.
+
+    ``observers`` maps a message key to a function ``fn(system, event)``
+    that runs at each delivery of that key, inside the delivery: after its
+    event is recorded and before the receiver's hooks and handler.  An
+    observer may read the whole system, which no handler can; it raises to
+    end the run, and its raise fails the delivery as a handler's would.
+    Handlers share no knowledge through the system.
+    """
 
     def __init__(self, seed: int = 0, step_ceiling: int = 100000,
                  mode: str = "sequential"):
@@ -229,6 +240,8 @@ class System:
         self._rng = random.Random(seed)
         self.net = ev.EventNetwork()
         self.services: dict[str, Callable] = {}
+        self.observers: dict[str, Callable] = {}
+        # Unused by the package; perfbench/run.py still reads it in traced runs.
         self.shared: dict[str, Any] = {}
         self.step_ceiling = step_ceiling
         self.mode = mode
@@ -343,7 +356,8 @@ class System:
 
     def _execute(self, target: int, key: str, params: dict, cause: Optional[int]) -> ev.Event:
         """Record the arrival of one message as its event, then run the
-        receiver's hooks and handler on that event."""
+        key's observer, if any, and the receiver's hooks and handler on
+        that event."""
         actor = self.actors[target]
         behavior = actor.behavior
         handler = behavior.handlers.get(key)
@@ -358,6 +372,9 @@ class System:
         self._current_event = event_id
         ctx = Context(self, actor, event_id, behavior.allowed_keys(key))
         try:
+            observe = self.observers.get(key)
+            if observe is not None:
+                observe(self, event)
             pre = behavior.pre_distribution.get(key)
             if pre is not None:
                 pre(ctx, event)

@@ -1,9 +1,11 @@
 """The word-actor protocol end to end: attachment, deferral, receipts,
 ambiguity splitting, and the invariants that hold at quiescence."""
 
+import ast
 import dataclasses
 import itertools
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,8 +35,9 @@ def test_sample_sentence_has_exactly_the_six_edges(demo_lexicon, demo_kb):
     assert len(trees) == 1
     assert trees[0].render() == "\n".join(DEMO_EDGES)
     assert pt.check_invariants(system, net, ETN) == []
-    # run facts live in the actors' states; handlers share only the debug flag
-    assert sorted(system.shared) == ["debug_checks"]
+    # run facts live in the actors' states; the runtime runs the one debug
+    # check as the observer of every searchHead delivery
+    assert system.observers == {pt.SEARCH_HEAD: pt._assert_on_fringe}
 
 
 def test_corpus_counts_and_oracle_agreement(demo_lexicon, demo_kb):
@@ -200,9 +203,9 @@ def test_fringe_discipline_is_checked_on_every_search(monkeypatch, demo_lexicon,
     checked = []
     check = pt._assert_on_fringe
 
-    def counted(ctx, profile):
-        checked.append(ctx.actor_id)
-        check(ctx, profile)
+    def counted(system, event):
+        checked.append(event.target)
+        check(system, event)
 
     monkeypatch.setattr(pt, "_assert_on_fringe", counted)
     searches = 0
@@ -359,6 +362,18 @@ def test_a_parse_leaves_the_shared_behaviors_as_built(demo_lexicon, permissive_k
         assert shared._allowed == fresh._allowed
 
 
+def test_a_handler_reaches_only_its_own_actor():
+    # a context has no shared knowledge and no public way to the system,
+    # and the protocol takes no private way there either: no expression in
+    # protocol.py reads .system, ._system or .shared, of ctx or of anything
+    assert not {"system", "shared"} & set(rt.Context.__slots__)
+    tree = ast.parse(Path(pt.__file__).read_text(encoding="utf-8"))
+    reads = [(node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("system", "_system", "shared")]
+    assert reads == []
+
+
 def test_each_surface_is_resolved_once_per_parse(monkeypatch, demo_lexicon, demo_kb):
     tokens = "Compaq liefert einen Rechner".split() + 2 * "mit einer Harddisk".split()
     resolved = []
@@ -396,12 +411,13 @@ def test_resolved_entries_do_not_outlive_the_parse(demo_lexicon, demo_kb):
 
 # -- the rewritten scans against their full-scan originals --------------------
 
-def _full_scan_fringe_check(ctx, profile):
+def _full_scan_fringe_check(system, event):
     """The fringe check as first written: walk the head chain of every word
     actor that borders the candidate."""
+    profile = event.params["profile"]
     context = profile["reading"]
     border = profile["left_edge"] - 1
-    for a in ctx.system.actors.values():
+    for a in system.actors.values():
         if a.behavior.name != "word":
             continue
         st = a.state
@@ -409,12 +425,12 @@ def _full_scan_fringe_check(ctx, profile):
             continue
         node, hops = a, set()
         while node is not None and node.actor_id not in hops:
-            if node.actor_id == ctx.actor_id:
+            if node.actor_id == event.target:
                 return
             hops.add(node.actor_id)
             link = pt._governing_link(node.state, context)
-            node = ctx.system.actors.get(link.head) if link is not None else None
-    own = ctx.state
+            node = system.actors.get(link.head) if link is not None else None
+    own = system.actors[event.target].state
     raise pt.ProtocolError(
         f"{own.surface}: searchHead reached a word outside the search fringe "
         f"(receiver at position {own.position}, left_edge {own.left_edge}, "
@@ -488,11 +504,12 @@ class ScanRecorder:
         self.readout = []   # (tag, rewritten, original) per reading tag
         fringe, materialize = pt._assert_on_fringe, pt._materialize
 
-        def checked_fringe(ctx, profile):
-            got = _verdict(fringe, ctx, profile)
-            want = _verdict(_full_scan_fringe_check, ctx, profile)
+        def checked_fringe(system, event):
+            got = _verdict(fringe, system, event)
+            want = _verdict(_full_scan_fringe_check, system, event)
             self.fringe.append((got, want,
-                                ctx.state.right_edge == profile["left_edge"] - 1))
+                                system.actors[event.target].state.right_edge
+                                == event.params["profile"]["left_edge"] - 1))
             if got is not None:
                 raise pt.ProtocolError(got)
 
@@ -527,9 +544,9 @@ def _tags_in_readout_order(system):
     return tags
 
 
-def _verdict(check, ctx, profile):
+def _verdict(check, system, event):
     try:
-        check(ctx, profile)
+        check(system, event)
     except pt.ProtocolError as err:
         return str(err)
     return None

@@ -125,7 +125,7 @@ def test_a_kept_context_cannot_send():
     with pytest.raises(rt.ContractViolation,
                        match="messages can only be sent from inside a computation event"):
         ctx.send(a, "ping")
-    assert not ctx.system.scheduler.pending
+    assert not ctx._system.scheduler.pending
 
 
 def test_a_kept_context_cannot_send_during_another_delivery():
@@ -233,7 +233,7 @@ def _relay_system(seen, forwarded_keys=(("ping", False),)):
             ctx.forward(following, env)
 
     def show(ctx, env):
-        seen.append((ctx.actor_id, env, ctx.system.net.events[ctx._event]))
+        seen.append((ctx.actor_id, env, ctx._system.net.events[ctx._event]))
 
     system = rt.System()
     system.register_behavior(rt.BehaviorDef(
@@ -289,6 +289,71 @@ def test_a_delivered_message_is_its_recorded_event():
     assert sorted(e.params["n"] for e in delivered) == [1, 2]
 
 
+def _observed_system(mode, got, fail_at=None):
+    """Each ping sends a pong; the observer of ping keeps what it saw and
+    raises at the ping whose ``n`` is ``fail_at``."""
+    def observe(system, event):
+        got.append(("observer", event, system.net.events[-1]))
+        if event.params["n"] == fail_at:
+            raise ValueError(f"ping {fail_at} observed")
+
+    def step(name):
+        def keep(ctx, msg):
+            got.append((name, msg, None))
+            if name == "handler" and msg.key == "ping":
+                ctx.send(ctx.actor_id, "pong", n=msg.params["n"])
+        return keep
+
+    system = rt.System(seed=3, mode=mode)
+    system.register_behavior(rt.BehaviorDef(
+        name="observed", handlers={"ping": step("handler"), "pong": step("handler")},
+        action_trees={"ping": ev.Send("self", "pong"), "pong": ev.Seq()},
+        pre_distribution={"ping": step("pre"), "pong": step("pre")}))
+    system.observers["ping"] = observe
+    a = system.spawn("observed", "a", rt.ActorState())
+    b = system.spawn("observed", "b", rt.ActorState())
+    for n, target in enumerate((a, b, a)):
+        system.kick(target, "ping", {"n": n})
+    return system, a, b
+
+
+@pytest.mark.parametrize("mode", ["sequential", "parallel"])
+def test_an_observer_runs_at_each_delivery_of_its_key(mode):
+    # once per ping and never for a pong, after the event is recorded (it
+    # is the last event of the network) and before the pre-hook
+    got = []
+    system, _a, _b = _observed_system(mode, got)
+    net = system.run_to_quiescence()
+    pings = [e for e in net.events if e.key == "ping"]
+    assert len(pings) == 3 and len([e for e in net.events if e.key == "pong"]) == 3
+    observed = [(msg, last) for name, msg, last in got if name == "observer"]
+    assert [msg for msg, _last in observed] == pings
+    assert all(last is msg for msg, last in observed)
+    steps = {}
+    for name, msg, _last in got:
+        steps.setdefault(msg.event_id, []).append(name)
+    for e in net.events:
+        if e.key in ("ping", "pong"):
+            want = ["pre", "handler"] if e.key == "pong" else ["observer", "pre", "handler"]
+            assert steps[e.event_id] == want, e
+
+
+@pytest.mark.parametrize("mode", ["sequential", "parallel"])
+def test_an_observer_that_raises_fails_the_delivery(mode):
+    got = []
+    system, a, _b = _observed_system(mode, got, fail_at=2)
+    with pytest.raises(rt.HandlerFailure) as failure:
+        system.run_to_quiescence()
+    failed = system.net.events[-1]
+    assert (failed.target, failed.key, failed.params) == (a, "ping", {"n": 2})
+    assert str(failure.value) == (
+        f"handler for 'ping' failed at event {failed.event_id} (actor a): "
+        "ping 2 observed")
+    assert isinstance(failure.value.__cause__, ValueError)
+    # neither the pre-hook nor the handler ran on the failed delivery
+    assert [name for name, msg, _ in got if msg is failed] == ["observer"]
+
+
 @pytest.mark.parametrize("mode", ["sequential", "parallel"])
 def test_a_forwarded_event_holds_its_causes_params(demo_lexicon, demo_kb, mode):
     # In a parse, searchHead and updateFeatures are forwarded, and only
@@ -320,12 +385,12 @@ def test_forward_of_an_undeclared_key_is_a_contract_violation():
 
 def test_a_kept_context_cannot_forward():
     ctx, a = _kept_context()
-    delivered = ctx.system.net.events[-1]   # the ping delivered to that context
+    delivered = ctx._system.net.events[-1]   # the ping delivered to that context
     assert (delivered.target, delivered.key) == (a, "ping")
     with pytest.raises(rt.ContractViolation,
                        match="messages can only be sent from inside a computation event"):
         ctx.forward(a, delivered)
-    assert not ctx.system.scheduler.pending
+    assert not ctx._system.scheduler.pending
 
 
 def test_a_kept_context_cannot_forward_during_another_delivery():
@@ -744,7 +809,7 @@ def test_an_event_keeps_the_params_dict_of_its_message():
         ctx.send(ctx.actor_id, "show", n=2)
 
     def show(ctx, env):
-        seen.append((env.params, ctx.system.net.events[ctx._event].params))
+        seen.append((env.params, ctx._system.net.events[ctx._event].params))
 
     system = rt.System()
     system.register_behavior(rt.BehaviorDef(

@@ -2,9 +2,11 @@
 
 Determinism within one run is tested elsewhere; these pins also catch a
 change that alters delivery order, RNG use or event rendering between
-commits.  Each pinned run returns the reference readings today, so a later
-fix of a lost-reading or fringe defect need not touch them.  A change that
-deliberately alters protocol traffic regenerates the pins and says so in
+commits.  Each pinned run returns the reference readings today, but a
+fix of a lost-reading or fringe defect that changes the messages a word
+sends (completing the protocol inside one reading context does) still
+changes the traces, so it regenerates the pins.  Any change that
+deliberately alters protocol traffic regenerates them and says so in
 CHANGES.md.  The DOT export holds no params, so a change that only
 writes params differently regenerates the JSONL values and keeps the DOT
 ones, which then show that no event changed.
