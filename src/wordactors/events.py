@@ -1,12 +1,13 @@
 """Event networks and their static counterpart, the event type network.
 
 The arrival of a message at an actor is an event.  Each event remembers the
-events that posted its message (its ``causes``), so a finished run is a
-partial order of events; the recorded list order is one valid linearization
-of it.  From the declarative action trees of the behaviors one can derive,
-without running anything, which message keys can provoke which other keys.
-That static key-to-key relation with its guard labels is the event type
-network, and every causes edge of every run must project into it.
+one event during which its message was posted (its ``cause``), or none for a
+message from outside any event, so a finished run is a forest of events; the
+recorded list order is one valid linearization of it.  From the declarative
+action trees of the behaviors one can derive, without running anything,
+which message keys can provoke which other keys.  That static key-to-key
+relation with its guard labels is the event type network, and every cause
+edge of every run must project into it.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ class Event:
     target: int
     key: str
     params: dict
-    causes: frozenset
+    cause: Optional[int]
     state_version: int
 
     def __init__(self, event_id: int, target: int, key: str, params: dict,
-                 causes: frozenset, state_version: int):
+                 cause: Optional[int], state_version: int):
         # The generated __init__ of a frozen dataclass calls
         # object.__setattr__ once per field.  The slots' own descriptors
         # write the same values and take about a third off every record.
@@ -40,11 +41,11 @@ class Event:
         _set_target(self, target)
         _set_key(self, key)
         _set_params(self, params)
-        _set_causes(self, causes)
+        _set_cause(self, cause)
         _set_state_version(self, state_version)
 
 
-(_set_event_id, _set_target, _set_key, _set_params, _set_causes,
+(_set_event_id, _set_target, _set_key, _set_params, _set_cause,
  _set_state_version) = (Event.__dict__[name].__set__ for name in Event.__slots__)
 
 
@@ -53,7 +54,8 @@ class EventNetwork:
 
     ``record`` is the only way in, so every network holds its invariant:
     event *i* sits at position *i*, its target and state version are exactly
-    ``int``, its key is exactly ``str``, and its causes are earlier ids.
+    ``int``, its key is exactly ``str``, and its cause is ``None`` or an
+    earlier id.
     """
 
     def __init__(self):
@@ -72,12 +74,13 @@ class EventNetwork:
         self.actor_names[actor_id] = name
 
     def record(self, target: int, key: str, params: dict,
-               causes: Iterable[int], state_version: int) -> Event:
+               cause: Optional[int], state_version: int) -> Event:
         """Append one event and return it.  The event keeps ``params``
         itself, not a copy, so the caller must not edit that dict later.
         ``target`` and ``state_version`` must be exactly ``int``, ``key``
-        exactly ``str``, and each cause the ``int`` id of an earlier event;
-        otherwise ``ValueError`` names the event id and nothing is recorded.
+        exactly ``str``, and ``cause`` ``None`` (a message from outside any
+        event) or the ``int`` id of an earlier event; otherwise
+        ``ValueError`` names the event id and nothing is recorded.
         The JSONL export still refuses params it cannot write (see
         ``export``)."""
         events = self._events
@@ -85,13 +88,12 @@ class EventNetwork:
         if type(target) is not int or type(state_version) is not int or type(key) is not str:
             raise ValueError(f"event {event_id}: target {target!r} and state version "
                              f"{state_version!r} must be ints and key {key!r} a str")
-        cause_set = frozenset(causes)
-        for c in cause_set:
-            if type(c) is not int:
-                raise ValueError(f"event {event_id}: cause {c!r} is not an event id")
-            if not (0 <= c < event_id):
-                raise ValueError(f"event {event_id}: cause {c} not yet recorded")
-        event = Event(event_id, target, key, params, cause_set, state_version)
+        if cause is not None:
+            if type(cause) is not int:
+                raise ValueError(f"event {event_id}: cause {cause!r} is not an event id")
+            if not (0 <= cause < event_id):
+                raise ValueError(f"event {event_id}: cause {cause} not yet recorded")
+        event = Event(event_id, target, key, params, cause, state_version)
         events.append(event)
         return event
 
@@ -103,17 +105,17 @@ class EventNetwork:
 
     def subnetwork(self, ids: Iterable[int]) -> "EventNetwork":
         """Restriction to a subset of events, recorded anew in list order:
-        the kept events get the dense ids 0, 1, ..., their causes inside the
-        subset are renumbered with them, and causes outside it drop.  Each
-        event keeps its params dict."""
+        the kept events get the dense ids 0, 1, ..., a cause inside the
+        subset is renumbered with them, and a cause outside it becomes
+        ``None``.  Each event keeps its params dict."""
         keep = set(ids)
         sub = EventNetwork()
         sub.actor_names = dict(self.actor_names)
         renumbered: dict[int, int] = {}
         for e in self._events:
             if e.event_id in keep:
-                causes = [renumbered[c] for c in e.causes if c in renumbered]
-                renumbered[e.event_id] = sub.record(e.target, e.key, e.params, causes,
+                renumbered[e.event_id] = sub.record(e.target, e.key, e.params,
+                                                    renumbered.get(e.cause),
                                                     e.state_version).event_id
         return sub
 
@@ -215,15 +217,15 @@ def derive_etn(behaviors) -> EventTypeNetwork:
 def validate_trace(net: EventNetwork, etn: EventTypeNetwork) -> list:
     """Check a run against the type network.
 
-    Empty result means: every causes edge, projected to message keys, is an
+    Empty result means: every cause edge, projected to message keys, is an
     edge of the type network.  Runtime bookkeeping events (actor creation)
     are exempt from the check.  A network made by ``EventNetwork.record``
     is a valid linearization already, so only edges are checked: events in
-    list order, the causes of each in the iteration order of its
-    ``causes``, each missing edge reported as ``causes edge (<src> -> <dst>)
-    at event <id> is not in the type network``.
+    list order, each missing edge from an event's cause reported as
+    ``causes edge (<src> -> <dst>) at event <id> is not in the type
+    network``.
     """
-    # per destination key, the keys its causes may have; a bookkeeping
+    # per destination key, the keys its cause may have; a bookkeeping
     # cause is allowed everywhere
     allowed_by_dst: dict = {}
     for src, dst, _guard, _plumbing in etn.edges:
@@ -232,14 +234,12 @@ def validate_trace(net: EventNetwork, etn: EventTypeNetwork) -> list:
     diagnostics = []
     for e in events:
         dst = e.key
-        if dst in INTERNAL_KEYS:
+        if e.cause is None or dst in INTERNAL_KEYS:
             continue
-        allowed = allowed_by_dst.get(dst, INTERNAL_KEYS)
-        for c in e.causes:
-            src = events[c].key
-            if src not in allowed:
-                diagnostics.append(
-                    f"causes edge ({src} -> {dst}) at event {e.event_id} is not in the type network")
+        src = events[e.cause].key
+        if src not in allowed_by_dst.get(dst, INTERNAL_KEYS):
+            diagnostics.append(
+                f"causes edge ({src} -> {dst}) at event {e.event_id} is not in the type network")
     return diagnostics
 
 
@@ -261,8 +261,8 @@ def _events_jsonl(net: EventNetwork) -> str:
     # of every line go through one encoder built for the export.  That C
     # encoder keeps no circular-reference record, so params that contain
     # themselves overflow its recursion guard instead.  A forwarded message
-    # keeps its cause's params dict, so an event whose one cause holds that
-    # very dict takes its text: equal objects give equal text.  Params
+    # keeps its cause's params dict, so an event whose cause holds that very
+    # dict takes its text: equal objects give equal text.  Params
     # outside the rule of docs/formats.md raise ValueError.
     make_encoder = json.encoder.c_make_encoder
     encode_str = json.encoder.encode_basestring_ascii
@@ -278,20 +278,17 @@ def _events_jsonl(net: EventNetwork) -> str:
     lines = []
     append = lines.append
     for e in events:
-        key, causes, params = e.key, e.causes, e.params
+        key, cause, params = e.key, e.cause, e.params
         key_text = key_texts.get(key)
         if key_text is None:
             key_text = key_texts[key] = encode_str(key)
         text = None
-        if not causes:
+        if cause is None:
             written = ""
-        elif len(causes) == 1:
-            (cause,) = causes
+        else:
             written = str(cause)
             if events[cause].params is params:
                 text = texts[cause]
-        else:
-            written = ", ".join(map(str, sorted(causes)))
         if text is None:
             try:
                 text = "".join(encode_params(params, 0))
@@ -313,8 +310,8 @@ def _events_dot(net: EventNetwork) -> str:
         if prefix is None:
             prefix = prefixes[target] = f' [label="[{net.name_of(target)}] <= '
         lines.append(f'  e{event_id}{prefix}{e.key}"];')
-        for c in e.causes:
-            edges.append((c, event_id))
+        if e.cause is not None:
+            edges.append((e.cause, event_id))
     edges.sort()
     for src, dst in edges:
         lines.append(f"  e{src} -> e{dst};")
@@ -326,12 +323,14 @@ def export(obj, format: str = "jsonl") -> str:
     """Render a network canonically.
 
     Event networks: JSONL has one record per event with exactly the fields
-    id, target, key, params, causes, stateVersion (keys sorted); DOT labels
-    each node "[surface <= key]".  Type networks: JSONL has one record per
-    edge; DOT labels each node "[* <= key]", writes guards as edge labels,
-    and draws plumbing edges dashed.  Output is byte-stable for equal input.
+    id, target, key, params, causes, stateVersion (keys sorted), where
+    causes is ``[]`` or the one-item list of the event's cause; DOT labels
+    each node "[surface <= key]" and draws an edge from each cause.  Type
+    networks: JSONL has one record per edge; DOT labels each node
+    "[* <= key]", writes guards as edge labels, and draws plumbing edges
+    dashed.  Output is byte-stable for equal input.
     ``EventNetwork.record`` has already refused any event whose id, target,
-    key, state version or causes a line cannot hold, so an event network's
+    key, state version or cause a line cannot hold, so an event network's
     JSONL export refuses only params: it raises ``ValueError`` naming the
     first event whose params it cannot write.
     """
@@ -383,80 +382,48 @@ def _first_difference(a: str, b: str) -> str:
     return ""
 
 
-def _signatures(net: EventNetwork) -> dict:
-    """Stable per-event labels refined by cause/effect context."""
-    sig = {e.event_id: (net.name_of(e.target), e.key) for e in net.events}
-    effects: dict[int, list] = {e.event_id: [] for e in net.events}
-    for e in net.events:
-        for c in e.causes:
-            effects[c].append(e.event_id)
-    for _ in range(3):
-        sig = {
-            e.event_id: (sig[e.event_id],
-                         tuple(sorted(sig[c] for c in e.causes)),
-                         tuple(sorted(sig[x] for x in effects[e.event_id])))
-            for e in net.events
-        }
-    return sig
-
-
 def _isomorphic(a: EventNetwork, b: EventNetwork) -> Verdict:
     if len(a.events) != len(b.events):
         return Verdict(False, f"event counts differ: {len(a.events)} != {len(b.events)}")
-    sig_a, sig_b = _signatures(a), _signatures(b)
-    if sorted(sig_a.values()) != sorted(sig_b.values()):
-        labels_a = sorted(f"[{a.name_of(e.target)}] <= {e.key}" for e in a.events)
-        labels_b = sorted(f"[{b.name_of(e.target)}] <= {e.key}" for e in b.events)
-        for la, lb in zip(labels_a, labels_b):
-            if la != lb:
-                return Verdict(False, f"event multisets differ near {la!r} vs {lb!r}")
-        return Verdict(False, "cause structure differs")
-
-    by_sig_b: dict = {}
-    for eid, s in sig_b.items():
-        by_sig_b.setdefault(s, []).append(eid)
-    events_a = sorted(sig_a, key=lambda eid: (sig_a[eid], eid))
-    causes_a = {e.event_id: e.causes for e in a.events}
-    causes_b = {e.event_id: e.causes for e in b.events}
-    mapping: dict[int, int] = {}
-    used: set = set()
-
-    def backtrack(index: int) -> bool:
-        if index == len(events_a):
-            return True
-        ea = events_a[index]
-        for eb in by_sig_b[sig_a[ea]]:
-            if eb in used:
-                continue
-            ok = True
-            for ca in causes_a[ea]:
-                if ca in mapping and mapping[ca] not in causes_b[eb]:
-                    ok = False
-                    break
-            if ok and len(causes_a[ea]) != len(causes_b[eb]):
-                ok = False
-            if ok:
-                mapping[ea] = eb
-                used.add(eb)
-                if backtrack(index + 1):
-                    return True
-                del mapping[ea]
-                used.discard(eb)
-        return False
-
-    if backtrack(0):
+    # One cause per event makes each network a forest.  An event's shape is
+    # the number of the key (actor name, key, sorted shapes of its effects)
+    # in a table both networks share, so equal shapes mean equal labeled
+    # subtrees.  An effect comes after its cause, so reverse id order meets
+    # every effect first.  Ints, not nested tuples, keep hashing and
+    # comparing flat along long cause chains.
+    shapes: dict = {}
+    roots = []
+    for net in (a, b):
+        events = net.events
+        effects: list[list] = [[] for _ in events]
+        net_roots = []
+        for e in reversed(events):
+            below = effects[e.event_id]
+            below.sort()
+            shape = shapes.setdefault((net.name_of(e.target), e.key, tuple(below)), len(shapes))
+            (net_roots if e.cause is None else effects[e.cause]).append(shape)
+        roots.append(sorted(net_roots))
+    if roots[0] == roots[1]:
         return Verdict(True)
-    return Verdict(False, "no label-preserving bijection matches the cause structure")
+    labels_a = sorted(f"[{a.name_of(e.target)}] <= {e.key}" for e in a.events)
+    labels_b = sorted(f"[{b.name_of(e.target)}] <= {e.key}" for e in b.events)
+    for la, lb in zip(labels_a, labels_b):
+        if la != lb:
+            return Verdict(False, f"event multisets differ near {la!r} vs {lb!r}")
+    return Verdict(False, "cause structure differs")
 
 
 def compare_networks(a, b, mode: str = "exact") -> Verdict:
     """Compare two networks of the same kind.
 
     ``exact`` compares canonical exports byte for byte.  For event networks,
-    ``up-to-actor-renaming`` instead asks for a bijection over actors that
-    preserves surfaces, keys, and the causes structure; event ids and
-    parameters are ignored.  Type networks have no actors, so both modes
-    coincide for them.
+    ``up-to-actor-renaming`` instead asks for a bijection over events that
+    preserves each event's actor name, key and cause: the two cause forests
+    must be isomorphic as labeled trees.  Event ids, actor ids and params
+    are ignored.  Actors are matched only through their names, not kept
+    apart as actors: two events at one actor named ``mit`` equal the same
+    two events at two actors that are both named ``mit``.  Type networks
+    have no actors, so both modes coincide for them.
     """
     if type(a) is not type(b):
         return Verdict(False, f"different kinds: {type(a).__name__} vs {type(b).__name__}")

@@ -1106,7 +1106,7 @@ def episode_events(net, episode: int) -> set:
               if e.params.get("initiator") == episode}
     for e in net.events:
         if e.key == SEARCH_HEAD and e.params.get("initiator") == episode:
-            if e.causes:
-                tagged.add(min(e.causes))
+            if e.cause is not None:
+                tagged.add(e.cause)
             break
     return tagged

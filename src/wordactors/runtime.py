@@ -5,17 +5,17 @@ in flight is a plain ``(target, key, params, cause)`` tuple in a pending
 pool, delivered later in an order chosen by a seeded random number
 generator, so arrival order is unpredictable in principle yet exactly
 reproducible per seed.  The arrival of a message is recorded as one event,
-whose causes are the events that posted it, and a delivered message is
-that event: the receiving behavior's pre-distribution rule (which may
-forward the message), the handler itself (the computation) and the
-post-distribution rule all get it and read its ``key`` and ``params``, and
-run atomically.  Distribution rules forward the message itself, not a
-copy, with ``Context.forward``.  The event keeps the params dict of the
-message itself, so the event of a forwarded message holds its cause's
-dict; nothing is copied or rendered during delivery.  A message's
-initiator, where it has one, is an ordinary param.  The JSONL export
-writes params as json writes them, a feature structure as its text, and
-refuses any other value.
+whose cause is the event during which the message was posted (none for a
+kick from outside), and a delivered message is that event: the receiving
+behavior's pre-distribution rule (which may forward the message), the
+handler itself (the computation) and the post-distribution rule all get it
+and read its ``key`` and ``params``, and run atomically.  Distribution
+rules forward the message itself, not a copy, with ``Context.forward``.
+The event keeps the params dict of the message itself, so the event of a
+forwarded message holds its cause's dict; nothing is copied or rendered
+during delivery.  A message's initiator, where it has one, is an ordinary
+param.  The JSONL export writes params as json writes them, a feature
+structure as its text, and refuses any other value.
 
 Messages here are plain values rather than actors in their own right; the
 distribution hooks preserve the observable effect (forwarding decided by
@@ -272,8 +272,8 @@ class System:
         actor = Actor(actor_id, self.behaviors[behavior_name], state, display_name)
         self.actors[actor_id] = actor
         self.net.register_actor(actor_id, display_name)
-        causes = (self._current_event,) if self._current_event is not None else ()
-        self.net.record(actor_id, ev.CREATED, {"behavior": behavior_name}, causes, 0)
+        self.net.record(actor_id, ev.CREATED, {"behavior": behavior_name},
+                        self._current_event, 0)
         return actor_id
 
     def post(self, target: int, key: str, params: Optional[dict] = None,
@@ -365,8 +365,7 @@ class System:
             raise ContractViolation(
                 f"behavior {behavior.name!r} has no handler for key {key!r}")
 
-        causes = (cause,) if cause is not None else ()
-        event = self.net.record(target, key, params, causes, actor.state_version)
+        event = self.net.record(target, key, params, cause, actor.state_version)
         event_id = event.event_id
 
         self._current_event = event_id

@@ -53,18 +53,18 @@ def _episode_reference() -> ev.EventNetwork:
             ["mit", "Notebook", "entwickelt", "120-MByte-Harddisk", "einer"]):
         ref.register_actor(i, name)
 
-    def rec(target, key, causes):
-        return ref.record(target, key, {}, causes, 0).event_id
+    def rec(target, key, cause):
+        return ref.record(target, key, {}, cause, 0).event_id
 
-    opener = rec(0, "headAccepted", [])          # einer bound, mit may search
-    ask_nb = rec(1, "searchHead", [opener])      # the search reaches Notebook
-    ask_vb = rec(2, "searchHead", [ask_nb])      # and travels on to entwickelt
-    offer = rec(0, "headFound", [ask_nb])        # Notebook offers its slot
-    upd_hd = rec(3, "updateFeatures", [offer])   # delta walks mit's subtree
-    rec(4, "updateFeatures", [upd_hd])
-    accept = rec(1, "headAccepted", [offer])     # mit takes the offer
-    rec(0, "receipt", [ask_vb])                  # entwickelt declines
-    rec(0, "receipt", [accept])                  # Notebook confirms
+    opener = rec(0, "headAccepted", None)        # einer bound, mit may search
+    ask_nb = rec(1, "searchHead", opener)        # the search reaches Notebook
+    ask_vb = rec(2, "searchHead", ask_nb)        # and travels on to entwickelt
+    offer = rec(0, "headFound", ask_nb)          # Notebook offers its slot
+    upd_hd = rec(3, "updateFeatures", offer)     # delta walks mit's subtree
+    rec(4, "updateFeatures", upd_hd)
+    accept = rec(1, "headAccepted", offer)       # mit takes the offer
+    rec(0, "receipt", ask_vb)                    # entwickelt declines
+    rec(0, "receipt", accept)                    # Notebook confirms
     return ref
 
 
@@ -101,7 +101,7 @@ def test_criterion_2_attachment_episode(demo_lexicon, demo_kb):
         if not verdict:
             ok, detail = False, f"seed {seed}: {verdict.detail}"
             break
-        if len(scans) != 1 or scans[0].causes != {receipts[-1]}:
+        if len(scans) != 1 or scans[0].cause != receipts[-1]:
             ok, detail = False, f"seed {seed}: scanNext not caused by the later receipt"
             break
     report(2, "attachment episode projects to the expected nine-event network "

@@ -1,6 +1,7 @@
 """Event recording, script derivation, trace validation, export, comparison."""
 
 import dataclasses
+import itertools
 import json
 import re
 from pathlib import Path
@@ -28,35 +29,36 @@ def _behavior(action_trees, distribution_sends=None):
 
 def test_first_event_gets_id_zero():
     net = ev.EventNetwork()
-    event = net.record(1, "k", {}, [], 0)
+    event = net.record(1, "k", {}, None, 0)
     assert event.event_id == 0
     assert net.events == (event,)
-    assert event.causes == frozenset()
+    assert event.cause is None
 
 
 def test_causes_reference_earlier_events():
     net = ev.EventNetwork()
-    net.record(1, "k", {}, [], 0)
-    event = net.record(1, "k", {}, [0], 0)
+    net.record(1, "k", {}, None, 0)
+    event = net.record(1, "k", {}, 0, 0)
     assert net.events[1] is event
-    assert event.causes == {0}
+    assert event.cause == 0
 
 
 def test_forward_reference_is_rejected():
     net = ev.EventNetwork()
     with pytest.raises(ValueError, match="cause 99"):
-        net.record(1, "k", {}, [99], 0)
+        net.record(1, "k", {}, 99, 0)
 
 
-@pytest.mark.parametrize("cause", [True, 1.0, "a", None])
+@pytest.mark.parametrize("cause", [True, 1.0, "a", [0]])
 def test_a_cause_that_is_no_event_id_is_rejected(cause):
     # a bool or float cause would be written as true or 1.0 and drawn in
-    # DOT from a node that does not exist; a str cause is no id either
+    # DOT from a node that does not exist; a str cause is no id either, and
+    # a list of causes is refused, since an event has one cause
     net = ev.EventNetwork()
     for _ in range(3):
-        net.record(1, "k", {}, [], 0)
+        net.record(1, "k", {}, None, 0)
     with pytest.raises(ValueError, match=re.escape(f"event 3: cause {cause!r} is not an event id")):
-        net.record(1, "k", {}, [0, cause], 0)
+        net.record(1, "k", {}, cause, 0)
     assert len(net.events) == 3
 
 
@@ -68,8 +70,8 @@ def test_a_target_key_or_state_version_of_another_type_is_rejected(field, value)
     # a bool target would be written as true, and labeled actorTrue in DOT
     net = ev.EventNetwork()
     for _ in range(3):
-        net.record(1, "k", {}, [], 0)
-    fields = dict(target=1, key="k", params={}, causes=[0], state_version=0)
+        net.record(1, "k", {}, None, 0)
+    fields = dict(target=1, key="k", params={}, cause=0, state_version=0)
     fields[field] = value
     with pytest.raises(ValueError, match=f"^event 3: .*{re.escape(repr(value))}"):
         net.record(**fields)
@@ -78,18 +80,18 @@ def test_a_target_key_or_state_version_of_another_type_is_rejected(field, value)
 
 def test_events_are_a_read_only_snapshot():
     net = ev.EventNetwork()
-    first = net.record(1, "k", {}, [], 0)
+    first = net.record(1, "k", {}, None, 0)
     events = net.events
     assert events == (first,) and net.events is events
     with pytest.raises(AttributeError):
-        net.events.append(ev.Event(1, 1, "k", {}, frozenset(), 0))
+        net.events.append(ev.Event(1, 1, "k", {}, None, 0))
     with pytest.raises(AttributeError):
         net.events = []
-    second = net.record(1, "k", {}, [0], 0)
+    second = net.record(1, "k", {}, 0, 0)
     assert net.events == (first, second) and events == (first,)
 
 
-FIELDS = ("event_id", "target", "key", "params", "causes", "state_version")
+FIELDS = ("event_id", "target", "key", "params", "cause", "state_version")
 
 # What a plain frozen dataclass of the same fields does: Event's own
 # __init__ must not change its repr, equality or immutability.
@@ -97,7 +99,7 @@ ReferenceEvent = dataclasses.make_dataclass("Event", FIELDS, frozen=True)
 
 
 def test_event_fields_are_frozen():
-    event = ev.Event(3, 1, "ping", {"n": 1}, frozenset({0, 2}), 4)
+    event = ev.Event(3, 1, "ping", {"n": 1}, 2, 4)
     assert tuple(f.name for f in dataclasses.fields(ev.Event)) == FIELDS
     for name in FIELDS:
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -110,17 +112,16 @@ def test_event_fields_are_frozen():
     with pytest.raises((dataclasses.FrozenInstanceError, AttributeError, TypeError)):
         event.extra = 1
     assert not hasattr(event, "__dict__")
-    assert [getattr(event, name) for name in FIELDS] == [3, 1, "ping", {"n": 1},
-                                                          frozenset({0, 2}), 4]
+    assert [getattr(event, name) for name in FIELDS] == [3, 1, "ping", {"n": 1}, 2, 4]
 
 
 def test_event_repr_and_eq_are_field_by_field():
-    values = (3, 1, "ping", {"n": 1}, frozenset({0, 2}), 4)
-    others = (4, 2, "pong", {"n": 2}, frozenset({0}), 5)
+    values = (3, 1, "ping", {"n": 1}, 2, 4)
+    others = (4, 2, "pong", {"n": 2}, None, 5)
     event = ev.Event(*values)
     assert repr(event) == repr(ReferenceEvent(*values))
     assert repr(event) == ("Event(event_id=3, target=1, key='ping', params={'n': 1}, "
-                           "causes=frozenset({0, 2}), state_version=4)")
+                           "cause=2, state_version=4)")
     assert event == ev.Event(*values)
     assert event == ev.Event(**dict(zip(FIELDS, values)))
     for i in range(len(FIELDS)):
@@ -134,18 +135,19 @@ def test_event_repr_and_eq_are_field_by_field():
 
 def test_subnetwork_builds_equal_events():
     net = ev.EventNetwork()
-    net.record(1, "a", {"n": 0}, [], 0)
-    net.record(2, "b", {"n": 1}, [0], 1)
-    net.record(1, "c", {"n": 2}, [0, 1], 2)
-    # ids are dense again, and a kept cause takes its event's new id
+    net.record(1, "a", {"n": 0}, None, 0)
+    net.record(2, "b", {"n": 1}, 0, 1)
+    net.record(1, "c", {"n": 2}, 1, 2)
+    # ids are dense again, a kept cause takes its event's new id, and a
+    # cause that is not kept becomes None
     sub = net.subnetwork([1, 2])
-    assert sub.events == (ev.Event(0, 2, "b", {"n": 1}, frozenset(), 1),
-                          ev.Event(1, 1, "c", {"n": 2}, frozenset({0}), 2))
+    assert sub.events == (ev.Event(0, 2, "b", {"n": 1}, None, 1),
+                          ev.Event(1, 1, "c", {"n": 2}, 0, 2))
     assert all(a.params is b.params for a, b in zip(sub.events, net.events[1:]))
     assert [repr(e) for e in sub.events] == [
         repr(ReferenceEvent(*(getattr(e, name) for name in FIELDS))) for e in sub.events]
-    assert net.subnetwork([0, 2]).events == (ev.Event(0, 1, "a", {"n": 0}, frozenset(), 0),
-                                             ev.Event(1, 1, "c", {"n": 2}, frozenset({0}), 2))
+    assert net.subnetwork([0, 2]).events == (ev.Event(0, 1, "a", {"n": 0}, None, 0),
+                                             ev.Event(1, 1, "c", {"n": 2}, None, 2))
     assert net.subnetwork(range(3)).events == net.events
 
 
@@ -248,8 +250,8 @@ def test_real_runs_validate_against_the_etn():
 def test_unknown_edge_is_diagnosed():
     etn = ev.derive_etn(pt.protocol_behaviors())
     net = ev.EventNetwork()
-    net.record(1, "receipt", {}, [], 0)
-    net.record(1, "headFound", {}, [0], 0)
+    net.record(1, "receipt", {}, None, 0)
+    net.record(1, "headFound", {}, 0, 0)
     found = ev.validate_trace(net, etn)
     assert len(found) == 1
     assert "receipt" in found[0] and "headFound" in found[0]
@@ -258,8 +260,8 @@ def test_unknown_edge_is_diagnosed():
 def test_internal_creation_events_are_exempt():
     etn = ev.derive_etn(pt.protocol_behaviors())
     net = ev.EventNetwork()
-    net.record(1, "scanNext", {}, [], 0)
-    net.record(2, ev.CREATED, {"behavior": "word"}, [0], 0)
+    net.record(1, "scanNext", {}, None, 0)
+    net.record(2, ev.CREATED, {"behavior": "word"}, 0, 0)
     assert ev.validate_trace(net, etn) == []
 
 
@@ -330,9 +332,9 @@ def test_real_traces_match_the_trace_schema(demo_lexicon, demo_kb):
     # rejects
     net = ev.EventNetwork()
     for _ in range(3):
-        net.record(1, "k", {}, [], 0)
+        net.record(1, "k", {}, None, 0)
     with pytest.raises(ValueError, match="is not an event id"):
-        net.record(1, "k", {}, [True], 0)
+        net.record(1, "k", {}, True, 0)
     line = json.dumps({"causes": [True], "id": 3, "key": "k", "params": {},
                        "stateVersion": 0, "target": 1}, sort_keys=True)
     assert ([error.message for error in validator.iter_errors(json.loads(line))]
@@ -352,7 +354,7 @@ def _reference_jsonl(net, default=None):
             "target": e.target,
             "key": e.key,
             "params": e.params,
-            "causes": sorted(e.causes),
+            "causes": [] if e.cause is None else [e.cause],
             "stateVersion": e.state_version,
         }, sort_keys=True, default=default))
     return "\n".join(lines) + ("\n" if lines else "")
@@ -362,7 +364,8 @@ def _reference_dot(net):
     lines = ["digraph events {", "  rankdir=LR;"]
     for e in net.events:
         lines.append(f'  e{e.event_id} [label="[{net.name_of(e.target)}] <= {e.key}"];')
-    edges = sorted((c, e.event_id) for e in net.events for c in e.causes)
+    edges = sorted((c, e.event_id) for e in net.events
+                   for c in ([] if e.cause is None else [e.cause]))
     for src, dst in edges:
         lines.append(f"  e{src} -> e{dst};")
     lines.append("}")
@@ -380,7 +383,7 @@ def _reference_validate_trace(net, etn):
     for position, e in enumerate(net.events):
         if e.event_id != position:
             diagnostics.append(f"event {e.event_id} stored at position {position}")
-        for c in e.causes:
+        for c in [] if e.cause is None else [e.cause]:
             if c not in by_id:
                 diagnostics.append(f"event {e.event_id}: unknown cause {c}")
                 continue
@@ -424,13 +427,13 @@ def _recorded_networks(draw):
     net = ev.EventNetwork()
     for _ in range(draw(st.integers(0, 8))):
         n = len(net.events)
-        causes = draw(st.lists(st.integers(0, n - 1), max_size=3)) if n else []
+        cause = draw(st.none() | st.integers(0, n - 1)) if n else None
         params = draw(st.dictionaries(_texts, _params, max_size=3))
         if n and draw(st.booleans()):
             # as a forwarded message does, share an earlier event's dict
             params = net.events[draw(st.integers(0, n - 1))].params
         net.record(draw(st.integers(0, 4)), draw(_texts | st.just(ev.CREATED)), params,
-                   causes, draw(st.integers(0, 9)))
+                   cause, draw(st.integers(0, 9)))
     _name_some_targets(draw, net)
     return net
 
@@ -490,7 +493,7 @@ _in_itself["self"] = _in_itself
 
 # (field of an event, value outside the rule of docs/formats.md)
 _REFUSED = [
-    ("event_id", True), ("target", "1"), ("causes", [True]),
+    ("event_id", True), ("target", "1"), ("cause", True),
     ("params", {"tags": {"a", "b"}}), ("params", {"x": [_Opaque()]}),
     ("params", {10: 1, "a": 0}), ("params", _in_itself),
 ]
@@ -503,16 +506,16 @@ _REFUSED = [
 def test_export_refuses_an_event_outside_the_trace_types(monkeypatch, accelerated,
                                                           field, value):
     good = ev.EventNetwork()
-    good.record(1, "k", {"fs": parse_fs("{case: nom|acc}"), "keys": {10: 1, 2: None}}, [], 0)
-    good.record(2, "k", {"pair": (1, "a"), "nested": [{"b": 2.5}]}, [0], 1)
+    good.record(1, "k", {"fs": parse_fs("{case: nom|acc}"), "keys": {10: 1, 2: None}}, None, 0)
+    good.record(2, "k", {"pair": (1, "a"), "nested": [{"b": 2.5}]}, 0, 1)
     text = ev.export(good, "jsonl")
     if not accelerated:
         monkeypatch.setattr(json.encoder, "c_make_encoder", None)
     # No such event reaches a line: record numbers the events itself and
     # refuses the other fields of the skeleton, the export refuses params.
     net = ev.EventNetwork()
-    net.record(1, "k", {"n": 1}, [], 0)
-    fields = dict(target=1, key="k", params={}, causes=[0], state_version=0)
+    net.record(1, "k", {"n": 1}, None, 0)
+    fields = dict(target=1, key="k", params={}, cause=0, state_version=0)
     if field == "event_id":
         with pytest.raises(AttributeError):
             net.events.append(ev.Event(value, **fields))
@@ -546,9 +549,9 @@ def _keyed_networks(draw):
     net = ev.EventNetwork()
     for _ in range(draw(st.integers(0, 6))):
         n = len(net.events)
-        causes = draw(st.lists(st.integers(0, n - 1), max_size=3)) if n else []
+        cause = draw(st.none() | st.integers(0, n - 1)) if n else None
         net.record(draw(st.integers(0, 4)), draw(_texts), draw(_one_key_kind_dicts(_keyed_params)),
-                   causes, draw(st.integers(0, 9)))
+                   cause, draw(st.integers(0, 9)))
     return net
 
 
@@ -571,10 +574,10 @@ def test_params_that_contain_themselves_fail_as_in_json_dumps(monkeypatch, accel
         with pytest.raises(ValueError, match="Circular reference detected"):
             json.dumps(params, sort_keys=True)
         first = ev.EventNetwork()
-        first.record(0, "k", params, [], 0)
+        first.record(0, "k", params, None, 0)
         second = ev.EventNetwork()
-        second.record(0, "k", {"n": 1}, [], 0)
-        second.record(0, "k", params, [0], 0)
+        second.record(0, "k", {"n": 1}, None, 0)
+        second.record(0, "k", params, 0, 0)
         for net in (first, second):
             looped = len(net.events) - 1
             with pytest.raises(ValueError, match=f"^event {looped} cannot be exported: "):
@@ -586,8 +589,8 @@ def test_a_dict_shared_twice_in_one_params_is_written_twice(monkeypatch):
     # without json's C accelerator
     shared = {"b": [1, 2]}
     net = ev.EventNetwork()
-    net.record(0, "k", {"x": shared, "y": [shared, shared]}, [], 0)
-    net.record(0, "k", {"x": shared, "z": {1: shared, 2: [shared]}}, [0], 0)
+    net.record(0, "k", {"x": shared, "y": [shared, shared]}, None, 0)
+    net.record(0, "k", {"x": shared, "z": {1: shared, 2: [shared]}}, 0, 0)
     text = ev.export(net, "jsonl")
     params = [line[line.index('"params": ') + 10:line.rindex(', "stateVersion": ')]
               for line in text.splitlines()]
@@ -609,7 +612,7 @@ def _assert_lines_are_their_records(net):
 
 
 def _holds_its_causes_params(net, e):
-    return any(c.event_id in e.causes and c.params is e.params for c in net.events)
+    return e.cause is not None and net.events[e.cause].params is e.params
 
 
 def test_a_subnetwork_with_forwarded_searches_exports_its_records(demo_lexicon, demo_kb):
@@ -630,20 +633,18 @@ def test_a_subnetwork_with_forwarded_searches_exports_its_records(demo_lexicon, 
     kept = [e for e in sub.events if _holds_its_causes_params(sub, e)]
     assert kept
     for e in kept:
-        (cause,) = e.causes
-        assert params_text(lines[e.event_id]) == params_text(lines[cause])
+        assert params_text(lines[e.event_id]) == params_text(lines[e.cause])
     _assert_lines_are_their_records(sub)
 
 
 def test_a_hand_made_event_holding_its_causes_params_exports_its_record():
     params = {"delta": parse_fs("{case: acc}"), "reading": 0, "initiator": 3}
     net = ev.EventNetwork()
-    net.record(1, "updateFeatures", params, [], 0)
-    net.record(2, "updateFeatures", params, [0], 1)
-    net.record(3, "updateFeatures", params, [1], 0)
-    net.record(2, "other", {"n": 1}, [2], 2)
-    net.record(4, "updateFeatures", params, [0, 1], 0)   # two causes
-    net.record(4, "updateFeatures", params, [3], 1)      # a cause with other params
+    net.record(1, "updateFeatures", params, None, 0)
+    net.record(2, "updateFeatures", params, 0, 1)
+    net.record(3, "updateFeatures", params, 1, 0)
+    net.record(2, "other", {"n": 1}, 2, 2)
+    net.record(4, "updateFeatures", params, 3, 1)      # a cause with other params
     _assert_lines_are_their_records(net)
 
 
@@ -697,10 +698,10 @@ def test_etn_difference_names_the_edge():
 def test_renaming_mode_tolerates_id_shifts():
     a = ev.EventNetwork()
     a.register_actor(1, "w")
-    a.record(1, "k", {"n": 1}, [], 0)
+    a.record(1, "k", {"n": 1}, None, 0)
     b = ev.EventNetwork()
     b.register_actor(5, "w")
-    b.record(5, "k", {"n": 2}, [], 0)
+    b.record(5, "k", {"n": 2}, None, 0)
     assert not ev.compare_networks(a, b, "exact").equal
     assert ev.compare_networks(a, b, "up-to-actor-renaming").equal
 
@@ -708,11 +709,118 @@ def test_renaming_mode_tolerates_id_shifts():
 def test_renaming_mode_still_needs_matching_surfaces():
     a = ev.EventNetwork()
     a.register_actor(1, "w")
-    a.record(1, "k", {}, [], 0)
+    a.record(1, "k", {}, None, 0)
     b = ev.EventNetwork()
     b.register_actor(1, "v")
-    b.record(1, "k", {}, [], 0)
+    b.record(1, "k", {}, None, 0)
     assert not ev.compare_networks(a, b, "up-to-actor-renaming").equal
+
+
+def test_renaming_mode_matches_actors_only_by_name():
+    # The mode matches events, not actors: an actor is known by its display
+    # name, and the copies of a word share their original's name, so two
+    # actors that share a name are not kept apart.  Two pings at one actor
+    # named mit, the second caused by the first, equal the same two pings
+    # at two actors that are both named mit.
+    a = ev.EventNetwork()
+    a.register_actor(1, "mit")
+    a.record(1, "ping", {}, None, 0)
+    a.record(1, "ping", {}, 0, 1)
+    b = ev.EventNetwork()
+    b.register_actor(1, "mit")
+    b.register_actor(2, "mit")
+    b.record(1, "ping", {}, None, 0)
+    b.record(2, "ping", {}, 0, 0)
+    assert not ev.compare_networks(a, b, "exact").equal
+    assert ev.compare_networks(a, b, "up-to-actor-renaming").equal
+
+
+def _brute_force_equal(a, b):
+    """Whether some bijection of the events keeps each event's actor name,
+    key and cause, found by trying every permutation."""
+    if len(a.events) != len(b.events):
+        return False
+    for image in itertools.permutations(b.events):
+        if all(a.name_of(e.target) == b.name_of(f.target) and e.key == f.key
+               and f.cause == (None if e.cause is None else image[e.cause].event_id)
+               for e, f in zip(a.events, image)):
+            return True
+    return False
+
+
+def _subtree(parents, root):
+    below = {root}
+    for i in range(len(parents)):     # a parent comes before its children
+        if parents[i] in below:
+            below.add(i)
+    return below
+
+
+@st.composite
+def _forest_pairs(draw):
+    """Two networks of up to 6 events at 3 actors, with 1-2 names and 1-2
+    keys: an independent pair, a renumbered copy, or a copy in which one
+    event moved to another parent with the same label."""
+    names = st.sampled_from("mw"[:draw(st.integers(1, 2))])
+    keys = st.sampled_from("pq"[:draw(st.integers(1, 2))])
+    actor_names = {actor: draw(names) for actor in range(3)}
+
+    def forest(n):
+        parents = [draw(st.none() | st.integers(0, i - 1)) if i else None for i in range(n)]
+        return parents, [draw(st.integers(0, 2)) for _ in range(n)], [draw(keys) for _ in range(n)]
+
+    n = draw(st.integers(0, 6))
+    parents, targets, keys_a = forest(n)
+    how = draw(st.sampled_from(["independent", "copy", "moved"]))
+    if how == "independent":
+        parents_b, targets_b, keys_b = forest(n)
+    else:
+        parents_b, keys_b = list(parents), list(keys_a)
+        # the same names, possibly at other actors
+        targets_b = [draw(st.sampled_from([t for t in actor_names
+                                           if actor_names[t] == actor_names[target]]))
+                     for target in targets]
+        moved = [i for i in range(n) if parents[i] is not None]
+        if how == "moved" and moved:
+            i = draw(st.sampled_from(moved))
+            below = _subtree(parents, i)
+
+            def label(j):
+                return actor_names[targets[j]], keys_a[j]
+
+            others = [j for j in range(n) if j != parents[i] and j not in below
+                      and label(j) == label(parents[i])]
+            if others:
+                parents_b[i] = draw(st.sampled_from(others))
+    # record b in another order that still puts each cause first: by depth,
+    # ties broken at random
+    depth = []
+    for i in range(n):
+        j, d = i, 0
+        while parents_b[j] is not None:
+            j, d = parents_b[j], d + 1
+        depth.append(d)
+    ties = draw(st.permutations(range(n)))
+    order = sorted(range(n), key=lambda i: (depth[i], ties[i]))
+    new_id = {old: new for new, old in enumerate(order)}
+
+    a, b = ev.EventNetwork(), ev.EventNetwork()
+    for actor, name in actor_names.items():
+        a.register_actor(actor, name)
+        b.register_actor(actor, name)
+    for i in range(n):
+        a.record(targets[i], keys_a[i], {}, parents[i], 0)
+    for i in order:
+        b.record(targets_b[i], keys_b[i], {},
+                 None if parents_b[i] is None else new_id[parents_b[i]], 0)
+    return a, b
+
+
+@settings(max_examples=300)
+@given(_forest_pairs())
+def test_renaming_mode_equals_a_brute_force_search_on_forests(pair):
+    a, b = pair
+    assert ev.compare_networks(a, b, "up-to-actor-renaming").equal == _brute_force_equal(a, b)
 
 
 def test_compare_rejects_unknown_mode():

@@ -238,7 +238,7 @@ def test_scan_accounting_balances(demo_lexicon, demo_kb):
     for tokens, lenient in runs:
         system, net, _ = pt.run_parse(demo_lexicon, demo_kb, list(tokens), seed=6,
                                       lenient=lenient)
-        by_cause = Counter(net.events[min(e.causes)].key if e.causes else None
+        by_cause = Counter(net.events[e.cause].key if e.cause is not None else None
                            for e in net.events if e.key == pt.SCAN_NEXT)
         scanner = pt._scanner_state(system)
         words = [a.state for a in pt._word_actors(system)]

@@ -72,7 +72,7 @@ def test_creation_is_recorded_as_an_event():
     system = fresh_system()
     system.spawn("counter", "a", CounterState())
     assert [e.key for e in system.net.events] == [ev.CREATED]
-    assert system.net.events[0].causes == frozenset()
+    assert system.net.events[0].cause is None
 
 
 def test_post_then_delivery_carries_the_cause():
@@ -82,8 +82,8 @@ def test_post_then_delivery_carries_the_cause():
     net = system.run_to_quiescence()
     pings = [e for e in net.events if e.key == "ping"]
     assert len(pings) == 2
-    assert pings[0].causes == frozenset()          # kicked from outside
-    assert pings[1].causes == {pings[0].event_id}  # chained send
+    assert pings[0].cause is None                  # kicked from outside
+    assert pings[1].cause == pings[0].event_id     # chained send
 
 
 def test_post_to_unknown_target():
@@ -256,7 +256,7 @@ def test_forward_posts_the_message_being_delivered():
     assert (env_b.key, env_b.params) == ("ping", {"n": 1, "initiator": a})
     assert env_b.params is env_a.params
     # the forwarded event holds its cause's very dict
-    assert event_b.causes == {event_a.event_id}
+    assert event_b.cause == event_a.event_id
     assert event_b.params is event_a.params
     assert ev.validate_trace(net, ev.derive_etn(system.behaviors.values())) == []
 
@@ -367,8 +367,8 @@ def test_a_forwarded_event_holds_its_causes_params(demo_lexicon, demo_kb, mode):
         assert trees
         events = net.events
         for e in events:
-            if e.key in forwarded and e.causes:
-                (cause,) = e.causes
+            cause = e.cause
+            if e.key in forwarded and cause is not None:
                 if events[cause].key == e.key:
                     assert e.params is events[cause].params, (seed, e.event_id)
                     forwarded[e.key] += 1
@@ -693,7 +693,7 @@ def test_spawn_during_an_event_is_causally_ordered():
     net = system.run_to_quiescence()
     ping = next(e for e in net.events if e.key == "ping")
     created = [e for e in net.events if e.key == ev.CREATED]
-    assert created[-1].causes == {ping.event_id}
+    assert created[-1].cause == ping.event_id
 
 
 def test_initiator_is_rendered_into_params():
@@ -786,7 +786,7 @@ def test_export_keeps_no_encoder_state_between_lines(monkeypatch):
     looped = ev.EventNetwork()
     params = {"n": 1}
     params["self"] = params
-    looped.record(0, "show", params, (), 0)
+    looped.record(0, "show", params, None, 0)
     with pytest.raises(ValueError, match="Circular reference detected"):
         json.dumps(params)
     with pytest.raises(ValueError, match="^event 0 cannot be exported: "):
@@ -870,7 +870,7 @@ def test_parallel_mode_delivers_the_same_multiset():
 def test_parallel_mode_is_still_a_valid_linearization():
     net, _ = _parallel_fixture("parallel", seed=9)
     for e in net.events:
-        assert all(c < e.event_id for c in e.causes)
+        assert e.cause is None or e.cause < e.event_id
 
 
 def test_parallel_mode_is_deterministic_per_seed():

@@ -182,8 +182,8 @@ def test_export_builds_no_encoder_per_line(monkeypatch, demo_lexicon, demo_kb, m
     count, text = calls_during_export()
     assert count == 0
     events = net.events
-    forwarded = sum(1 for e in events if len(e.causes) == 1
-                    and events[min(e.causes)].params is e.params)
+    forwarded = sum(1 for e in events if e.cause is not None
+                    and events[e.cause].params is e.params)
     assert forwarded > 0
     with monkeypatch.context() as patch:
         patch.setattr(json.encoder, "c_make_encoder", None)
