@@ -3,11 +3,14 @@
 The arrival of a message at an actor is an event.  Each event remembers the
 one event during which its message was posted (its ``cause``), or none for a
 message from outside any event, so a finished run is a forest of events; the
-recorded list order is one valid linearization of it.  From the declarative
-action trees of the behaviors one can derive, without running anything,
-which message keys can provoke which other keys.  That static key-to-key
-relation with its guard labels is the event type network, and every cause
-edge of every run must project into it.
+recorded list order is one valid linearization of it.  ``EventNetwork.record``
+builds each event through a slotted draft that it then turns into a frozen
+``Event``, so an event is frozen from the moment ``record`` returns it.
+
+From the declarative action trees of the behaviors one can derive, without
+running anything, which message keys can provoke which other keys.  That
+static key-to-key relation with its guard labels is the event type network,
+and every cause edge of every run must project into it.
 """
 
 from __future__ import annotations
@@ -32,21 +35,22 @@ class Event:
     cause: Optional[int]
     state_version: int
 
-    def __init__(self, event_id: int, target: int, key: str, params: dict,
-                 cause: Optional[int], state_version: int):
-        # The generated __init__ of a frozen dataclass calls
-        # object.__setattr__ once per field.  The slots' own descriptors
-        # write the same values and take about a third off every record.
-        _set_event_id(self, event_id)
-        _set_target(self, target)
-        _set_key(self, key)
-        _set_params(self, params)
-        _set_cause(self, cause)
-        _set_state_version(self, state_version)
 
+class _EventDraft:
+    """An ``Event`` under construction.  It has Event's slots and a plain
+    ``__init__``, so building one sets six slots directly, where the frozen
+    class's generated ``__init__`` calls ``object.__setattr__`` once per
+    field.  ``record`` then sets the draft's class to ``Event``, which the
+    identical slot layout allows, and from then on the event is frozen."""
+    __slots__ = Event.__slots__
 
-(_set_event_id, _set_target, _set_key, _set_params, _set_cause,
- _set_state_version) = (Event.__dict__[name].__set__ for name in Event.__slots__)
+    def __init__(self, event_id, target, key, params, cause, state_version):
+        self.event_id = event_id
+        self.target = target
+        self.key = key
+        self.params = params
+        self.cause = cause
+        self.state_version = state_version
 
 
 class EventNetwork:
@@ -75,8 +79,11 @@ class EventNetwork:
 
     def record(self, target: int, key: str, params: dict,
                cause: Optional[int], state_version: int) -> Event:
-        """Append one event and return it.  The event keeps ``params``
-        itself, not a copy, so the caller must not edit that dict later.
+        """Append one event and return it.  The event is built as an
+        ``_EventDraft`` and becomes an ``Event`` before it is appended, so
+        it is frozen from the moment ``record`` returns it.  The event keeps
+        ``params`` itself, not a copy, so the caller must not edit that dict
+        later.
         ``target`` and ``state_version`` must be exactly ``int``, ``key``
         exactly ``str``, and ``cause`` ``None`` (a message from outside any
         event) or the ``int`` id of an earlier event; otherwise
@@ -93,7 +100,8 @@ class EventNetwork:
                 raise ValueError(f"event {event_id}: cause {cause!r} is not an event id")
             if not (0 <= cause < event_id):
                 raise ValueError(f"event {event_id}: cause {cause} not yet recorded")
-        event = Event(event_id, target, key, params, cause, state_version)
+        event = _EventDraft(event_id, target, key, params, cause, state_version)
+        event.__class__ = Event
         events.append(event)
         return event
 

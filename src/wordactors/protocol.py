@@ -69,7 +69,7 @@ def _prefixes(tag: tuple) -> frozenset:
 # --------------------------------------------------------------------------
 # Word-local records.
 
-@dataclass
+@dataclass(slots=True)
 class Fill:
     reading: tuple
     filler: int
@@ -78,27 +78,27 @@ class Fill:
     right: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Slot:
     spec: lx.ValencyDef
     fills: list = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class HeadLink:
     reading: tuple
     head: int
     label: str
 
 
-@dataclass
+@dataclass(slots=True)
 class ReceiptLedger:
     expected: set
     received: set = field(default_factory=set)
     closed: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class HeldReceipt:
     """An offer or application whose receipt is withheld until it resolves.
 
@@ -117,7 +117,7 @@ class HeldReceipt:
     relay: Optional[dict] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class WordState(rt.ActorState):
     surface: str = ""
     position: int = 0
@@ -139,7 +139,7 @@ class WordState(rt.ActorState):
     origin_of: Optional[int] = None   # the actor this one was copied from
 
 
-@dataclass
+@dataclass(slots=True)
 class ScannerState(rt.ActorState):
     tokens: list = field(default_factory=list)
     cursor: int = 0

@@ -62,7 +62,7 @@ class LivelockError(RuntimeError):
         self.network = network
 
 
-@dataclass
+@dataclass(slots=True)
 class ActorState:
     """Base state: named acquaintances (ids or id lists) plus whatever a
     behavior adds in subclasses."""

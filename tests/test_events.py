@@ -1,8 +1,10 @@
 """Event recording, script derivation, trace validation, export, comparison."""
 
+import copy
 import dataclasses
 import itertools
 import json
+import pickle
 import re
 from pathlib import Path
 
@@ -93,8 +95,9 @@ def test_events_are_a_read_only_snapshot():
 
 FIELDS = ("event_id", "target", "key", "params", "cause", "state_version")
 
-# What a plain frozen dataclass of the same fields does: Event's own
-# __init__ must not change its repr, equality or immutability.
+# What a plain frozen dataclass of the same fields does: an event that
+# ``record`` builds through its slotted draft must not differ from it in
+# repr, equality or immutability.
 ReferenceEvent = dataclasses.make_dataclass("Event", FIELDS, frozen=True)
 
 
@@ -131,6 +134,39 @@ def test_event_repr_and_eq_are_field_by_field():
                                                  == ReferenceEvent(*changed))
     assert event != values
     assert event != ReferenceEvent(*values)
+
+
+def test_a_recorded_event_is_an_event():
+    # record builds each event as a draft and turns it into an Event; what
+    # it returns must be one in every respect the tests above pin
+    values = (0, 1, "ping", {"n": 1}, None, 4)
+    event = ev.EventNetwork().record(*values[1:])
+    assert type(event) is ev.Event
+    for name in FIELDS:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(event, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(event, name)
+    with pytest.raises((dataclasses.FrozenInstanceError, AttributeError, TypeError)):
+        event.extra = 1
+    assert not hasattr(event, "__dict__")
+    assert repr(event) == repr(ev.Event(*values)) == repr(ReferenceEvent(*values))
+    assert event == ev.Event(*values)
+    changed = dataclasses.replace(event, key="pong")
+    assert type(changed) is ev.Event
+    assert changed == ev.Event(0, 1, "pong", {"n": 1}, None, 4) and event.key == "ping"
+    for twin in (copy.copy(event), pickle.loads(pickle.dumps(event))):
+        assert type(twin) is ev.Event and twin == event
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            twin.key = "pong"
+
+
+@pytest.mark.parametrize("mode", ["sequential", "parallel"])
+def test_every_event_of_a_real_run_is_an_event(demo_lexicon, demo_kb, mode):
+    tokens = "Compaq liefert einen Rechner".split() + 3 * "mit einer Harddisk".split()
+    _system, net, _trees = pt.run_parse(demo_lexicon, demo_kb, tokens, seed=0, mode=mode)
+    assert len(net.events) > 100
+    assert all(type(e) is ev.Event for e in net.events)
 
 
 def test_subnetwork_builds_equal_events():

@@ -3,7 +3,6 @@ benchmark's enumerator, which shares no code with the package."""
 
 import importlib.util
 import itertools
-import random
 from collections import Counter
 from pathlib import Path
 
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import DEMO_EDGES, DEMO_SENTENCE, fixture_text
+from helpers import DEMO_EDGES, DEMO_SENTENCE, drawn_sentences, fixture_text, grammar_sentence
 
 from wordactors.lexicon import LexiconError, load_lexicon
 from wordactors.concepts import load_kb
@@ -175,41 +174,10 @@ def agrees_with_reference(demo_lexicon):
     return agrees
 
 
-NAMES = ["Compaq", "Siemens", "Atari"]
-MASCULINE = ["Notebook", "Rechner", "Atari"]
-FEMININE = ["Harddisk", "120-MByte-Harddisk"]
-NOUNS_OF = {"einen": MASCULINE, "einem": MASCULINE, "eine": FEMININE, "einer": FEMININE}
-VERBS = ["entwickelt", "liefert", "rechnet"]
-
-
-def _grammar_sentence(pick, shuffle):
-    """NP V NP + 0..8 PPs over the demo surfaces; a few come truncated or
-    shuffled.  An NP is a name (``None`` among the slot's determiners) or
-    a determiner of the slot's case with a noun of its gender; one in
-    eight is any determiner with any noun.  ``pick`` chooses one item of a
-    sequence, ``shuffle`` permutes a list."""
-    def noun_phrase(dets):
-        if pick(range(8)) == 0:
-            return [pick(sorted(NOUNS_OF)), pick(MASCULINE + FEMININE)]
-        det = pick(dets)
-        return [pick(NAMES)] if det is None else [det, pick(NOUNS_OF[det])]
-
-    tokens = (noun_phrase([None, None, "eine"]) + [pick(VERBS)]
-              + noun_phrase([None, "einen", "eine"]))
-    for _ in range(pick(range(9))):
-        tokens += ["mit"] + noun_phrase(["einem", "einer"])
-    shape = pick(["whole", "whole", "whole", "truncated", "shuffled"])
-    if shape == "truncated":
-        return tokens[:pick(range(1, len(tokens) + 1))]
-    if shape == "shuffled":
-        return shuffle(tokens)
-    return tokens
-
-
 @st.composite
 def sentences(draw):
-    return _grammar_sentence(lambda xs: draw(st.sampled_from(xs)),
-                             lambda xs: list(draw(st.permutations(xs))))
+    return grammar_sentence(lambda xs: draw(st.sampled_from(xs)),
+                            lambda xs: list(draw(st.permutations(xs))))
 
 
 @settings(max_examples=150, deadline=None)
@@ -223,9 +191,7 @@ def test_agrees_with_the_independent_enumerator_wide(demo_lexicon, agrees_with_r
     surfaces = sorted(demo_lexicon.lexemes)
     assert len(surfaces) == 15
     cases = [list(t) for n in range(1, 4) for t in itertools.product(surfaces, repeat=n)]
-    rng = random.Random(0)
-    cases += [_grammar_sentence(rng.choice, lambda xs: rng.sample(xs, len(xs)))
-              for _ in range(2000)]
+    cases += drawn_sentences(2000)
     for tokens in cases:
         for kb_name in KB_FILES:
             assert agrees_with_reference(tokens, kb_name), (tokens, kb_name)

@@ -4,8 +4,10 @@ The grid: ``Compaq liefert einen Rechner`` and ``Compaq entwickelt einen
 Rechner``, each followed by k × ``mit einer Harddisk`` for k = 0…8, at
 scheduler seeds 0…49; ``mit Atari``, ``Compaq rechnet mit Atari`` and
 ``Compaq liefert Atari`` at seeds 0…99; and the short inputs, every
-sequence of 1–3 surfaces of ``demo.lex`` (3,615 inputs), at seed 0.  Every
-input runs with both KBs, in both modes, with debug checks on.  A run is
+sequence of 1–3 surfaces of ``demo.lex`` (3,615 inputs), at seed 0; and the
+generated sentences, the first 1,000 draws of ``helpers.drawn_sentences``
+(the generator the oracle's cross-check uses), at seeds 0…2.  Every input
+runs with both KBs, in both modes, with debug checks on.  A run is
 right when its reading multiset equals the oracle's.  The scanner refuses a
 word with several lexicon entries anywhere but last, so a run whose input
 has one before its last token may also raise ``ParseAbort``.
@@ -17,8 +19,8 @@ wrong or raises, and on a run in the table that no longer does what the
 table says.  So a change that fixes one of F1–F5 shrinks the table in the
 same change.  Every failure names the command that replays its run.
 
-Tier-1 runs a slice (k ≤ 4, seeds 0…19, and every short input); the whole
-grid is marked slow.
+Tier-1 runs a slice (k ≤ 4, seeds 0…19, every short input, and the first
+150 generated sentences); the whole grid is marked slow.
 ``python tests/test_pp_sweep.py`` prints the table the current code gives.
 """
 
@@ -28,6 +30,8 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+
+from helpers import drawn_sentences
 
 from wordactors import lexicon as lx
 from wordactors import protocol as pt
@@ -66,13 +70,26 @@ SURFACES = ("120-MByte-Harddisk", "Atari", "Compaq", "Harddisk", "Notebook", "Re
 for _n in (1, 2, 3):
     for _tokens in product(SURFACES, repeat=_n):
         SENTENCES.setdefault(" ".join(_tokens), (list(_tokens), None, 1))
+# The generated sentences come last, in draw order; a draw that is an input
+# above, or an earlier draw, keeps that input's label and seeds.
+_labels = {" ".join(_tokens) for _tokens, _k, _n in SENTENCES.values()}
+GENERATED = []
+for _tokens in drawn_sentences(1000):
+    _text = " ".join(_tokens)
+    if _text not in _labels:
+        _labels.add(_text)
+        GENERATED.append(_text)
+        SENTENCES[_text] = (_tokens, None, 3)
 
 
-def grid(max_k=8, seeds=100):
+def grid(max_k=8, seeds=100, draws=len(GENERATED)):
     """(label, kb name, mode, seed) of every run with at most ``max_k`` PPs
-    and a seed below ``seeds``."""
+    and a seed below ``seeds``, of the generated sentences only the first
+    ``draws``."""
+    left_out = set(GENERATED[draws:])
     return [(label, kb, mode, seed)
-            for label, (_tokens, k, n) in SENTENCES.items() if k is None or k <= max_k
+            for label, (_tokens, k, n) in SENTENCES.items()
+            if (k is None or k <= max_k) and label not in left_out
             for kb in KB_FILES for mode in MODES for seed in range(min(n, seeds))]
 
 
@@ -196,7 +213,7 @@ def _check(lexicon, kbs, known, runs):
 
 
 def test_pp_sweep_slice_matches_the_known_defects(demo_lexicon, kbs, known):
-    _check(demo_lexicon, kbs, known, grid(max_k=4, seeds=20))
+    _check(demo_lexicon, kbs, known, grid(max_k=4, seeds=20, draws=150))
 
 
 @pytest.mark.slow
