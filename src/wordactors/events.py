@@ -4,8 +4,9 @@ The arrival of a message at an actor is an event.  Each event remembers the
 one event during which its message was posted (its ``cause``), or none for a
 message from outside any event, so a finished run is a forest of events; the
 recorded list order is one valid linearization of it.  ``EventNetwork.record``
-builds each event through a slotted draft that it then turns into a frozen
-``Event``, so an event is frozen from the moment ``record`` returns it.
+fills each event in place as a slotted draft, without a constructor call,
+and then turns the draft into a frozen ``Event``, so an event is frozen from
+the moment ``record`` returns it.
 
 From the declarative action trees of the behaviors one can derive, without
 running anything, which message keys can provoke which other keys.  That
@@ -37,20 +38,13 @@ class Event:
 
 
 class _EventDraft:
-    """An ``Event`` under construction.  It has Event's slots and a plain
-    ``__init__``, so building one sets six slots directly, where the frozen
-    class's generated ``__init__`` calls ``object.__setattr__`` once per
-    field.  ``record`` then sets the draft's class to ``Event``, which the
-    identical slot layout allows, and from then on the event is frozen."""
+    """An ``Event`` under construction.  It has Event's slots and no
+    ``__init__``: ``record`` makes a bare draft and sets its six slots
+    directly, where the frozen class's generated ``__init__`` calls
+    ``object.__setattr__`` once per field.  ``record`` then sets the
+    draft's class to ``Event``, which the identical slot layout allows, and
+    from then on the event is frozen."""
     __slots__ = Event.__slots__
-
-    def __init__(self, event_id, target, key, params, cause, state_version):
-        self.event_id = event_id
-        self.target = target
-        self.key = key
-        self.params = params
-        self.cause = cause
-        self.state_version = state_version
 
 
 class EventNetwork:
@@ -79,8 +73,8 @@ class EventNetwork:
 
     def record(self, target: int, key: str, params: dict,
                cause: Optional[int], state_version: int) -> Event:
-        """Append one event and return it.  The event is built as an
-        ``_EventDraft`` and becomes an ``Event`` before it is appended, so
+        """Append one event and return it.  The event is filled in place as a
+        bare ``_EventDraft`` and becomes an ``Event`` before it is appended, so
         it is frozen from the moment ``record`` returns it.  The event keeps
         ``params`` itself, not a copy, so the caller must not edit that dict
         later.
@@ -100,7 +94,13 @@ class EventNetwork:
                 raise ValueError(f"event {event_id}: cause {cause!r} is not an event id")
             if not (0 <= cause < event_id):
                 raise ValueError(f"event {event_id}: cause {cause} not yet recorded")
-        event = _EventDraft(event_id, target, key, params, cause, state_version)
+        event = object.__new__(_EventDraft)
+        event.event_id = event_id
+        event.target = target
+        event.key = key
+        event.params = params
+        event.cause = cause
+        event.state_version = state_version
         event.__class__ = Event
         events.append(event)
         return event

@@ -32,9 +32,13 @@ context reaches only the receiving actor), so no locking is needed in
 either mode.
 
 Synchronous services (unification, taxonomy queries, lexicon lookup) are
-pure evaluations callable only from inside a computation event via
-``request``; a blocking call to a pure function satisfies the request-reply
-contract without a second scheduling layer.
+pure evaluations callable only from inside a computation event, through the
+context's ``request``; a blocking call to a pure function satisfies the
+request-reply contract without a second scheduling layer.  A context's
+``send``, ``forward``, ``spawn`` and ``request`` all refuse outside its own
+delivery by the same comparison: its event must be the one being delivered.
+The runtime builds each context in place, and the recorder each event
+draft, without a constructor call.
 """
 
 from __future__ import annotations
@@ -69,6 +73,9 @@ class ActorState:
     acquaintances: dict = field(default_factory=dict)
 
 
+_NO_KEYS = frozenset()
+
+
 @dataclass
 class BehaviorDef:
     """Executable handlers plus their declarative mirror.
@@ -100,7 +107,7 @@ class BehaviorDef:
                          for key, pairs in ev.derive_script(self).items()}
 
     def allowed_keys(self, key: str) -> frozenset:
-        return self._allowed.get(key, frozenset())
+        return self._allowed.get(key, _NO_KEYS)
 
 
 @dataclass
@@ -120,40 +127,24 @@ class Actor:
         self.display_name = display_name
 
 
-def _request_after_delivery(service: str, *args):
-    """``request`` of a context whose delivery is over."""
-    raise ContractViolation(
-        f"request({service!r}) outside a computation event of its own: "
-        "a context can call services only during its own delivery")
-
-
 class Context:
     """Handler-side view of one computation event: the receiving actor and
     nothing else.
 
     Its fields are fixed when the delivery starts: ``actor_id`` is the
-    receiver's id, ``state`` the receiving actor's own state object (a
-    handler changes it in place), and ``request`` the system's service
-    call.  There is no shared knowledge and no public way to the system or
-    to other actors: only ``send``, ``forward`` and ``spawn`` reach the
-    system, through the private ``_system``.  A context kept past its
-    delivery can neither send, spawn nor call a service, neither after the
-    run nor during another delivery: ``send`` and ``spawn`` refuse unless
-    its event is the one being delivered, and once the delivery ends, its
-    ``request`` is replaced by one that refuses.
+    receiver's id and ``state`` the receiving actor's own state object (a
+    handler changes it in place).  ``System._execute`` builds each context
+    in place and sets its six slots; there is no constructor.  There is no
+    shared knowledge and no public way to the system or to other actors:
+    only ``send``, ``forward``, ``spawn`` and ``request`` reach the system,
+    through the private ``_system``.  All four refuse by the same
+    comparison unless this context's event is the one being delivered, so
+    a context kept past its delivery can neither send, spawn nor call a
+    service, neither after the run nor during another delivery, its own
+    actor's next one included.
     """
 
-    __slots__ = ("_system", "actor", "actor_id", "state", "request",
-                 "_event", "_allowed")
-
-    def __init__(self, system: "System", actor: Actor, event: int, allowed: frozenset):
-        self._system = system
-        self.actor = actor
-        self.actor_id = actor.actor_id
-        self.state = actor.state
-        self.request = system.request
-        self._event = event
-        self._allowed = allowed
+    __slots__ = ("_system", "actor", "actor_id", "state", "_event", "_allowed")
 
     def send(self, target: int, key: str, **params) -> None:
         """Post ``key`` with ``params`` to ``target``.
@@ -215,6 +206,20 @@ class Context:
                 f"{system._current_event}; it can only spawn during its own delivery")
         return system.spawn(behavior_name, display_name, state)
 
+    def request(self, service: str, *args):
+        """Call the pure service ``service`` on ``args`` and return its
+        result, only during this context's own delivery.  The service is
+        looked up in the system's ``services`` at each call."""
+        system = self._system
+        if system._current_event != self._event:
+            raise ContractViolation(
+                f"request({service!r}) outside a computation event of its own: "
+                "a context can call services only during its own delivery")
+        fn = system.services.get(service)
+        if fn is None:
+            raise ContractViolation(f"unknown service {service!r}")
+        return fn(*args)
+
     def bump(self) -> None:
         self.actor.state_version += 1
 
@@ -262,10 +267,10 @@ class System:
     def spawn(self, behavior_name: str, display_name: str, state: ActorState) -> int:
         if behavior_name not in self.behaviors:
             raise ContractViolation(f"unknown behavior {behavior_name!r}")
+        actors = self.actors
         for tag, value in state.acquaintances.items():
-            ids = value if isinstance(value, list) else [value]
-            for aid in ids:
-                if aid is not None and aid not in self.actors:
+            for aid in value if isinstance(value, list) else (value,):
+                if aid is not None and aid not in actors:
                     raise ContractViolation(f"acquaintance {tag!r} refers to unknown actor {aid}")
         actor_id = self._next_actor_id
         self._next_actor_id += 1
@@ -289,9 +294,10 @@ class System:
         """Synchronous call to a pure service, legal only inside an event."""
         if self._current_event is None:
             raise ContractViolation("request() outside a computation event")
-        if service not in self.services:
+        fn = self.services.get(service)
+        if fn is None:
             raise ContractViolation(f"unknown service {service!r}")
-        return self.services[service](*args)
+        return fn(*args)
 
     # -- scheduling -------------------------------------------------------
 
@@ -369,7 +375,13 @@ class System:
         event_id = event.event_id
 
         self._current_event = event_id
-        ctx = Context(self, actor, event_id, behavior.allowed_keys(key))
+        ctx = object.__new__(Context)
+        ctx._system = self
+        ctx.actor = actor
+        ctx.actor_id = target
+        ctx.state = actor.state
+        ctx._event = event_id
+        ctx._allowed = behavior.allowed_keys(key)
         try:
             observe = self.observers.get(key)
             if observe is not None:
@@ -389,22 +401,22 @@ class System:
                 f"(actor {actor.display_name}): {err}") from err
         finally:
             self._current_event = None
-            # A context kept past its delivery must not call services later.
-            ctx.request = _request_after_delivery
 
         return event
 
     def run_to_quiescence(self) -> ev.EventNetwork:
         """Deliver until nothing is pending; the full event network results."""
+        deliver_next = self.deliver_next
+        ceiling = self.step_ceiling
         steps = 0
         while True:
-            event = self.deliver_next()
+            event = deliver_next()
             if event is None:
                 return self.net
             steps += 1
-            if steps > self.step_ceiling:
+            if steps > ceiling:
                 raise LivelockError(
-                    f"possible livelock: step ceiling {self.step_ceiling} exceeded "
+                    f"possible livelock: step ceiling {ceiling} exceeded "
                     f"({len(self.scheduler.pending)} messages still pending)", self.net)
 
     # -- bootstrap --------------------------------------------------------

@@ -3,6 +3,7 @@
 import gc
 import json
 import random
+import sys
 import weakref
 from dataclasses import dataclass, field
 
@@ -219,6 +220,85 @@ def test_a_kept_context_cannot_request_during_another_delivery():
                              r"a context can call services only during its own delivery"):
         system.run_to_quiescence()
     assert [(e.target, e.key) for e in system.net.events[2:]] == [(a, "ping"), (b, "go")]
+
+
+def test_a_kept_context_cannot_request_during_its_own_actors_next_delivery():
+    # the same actor's next delivery is another event: the context of the
+    # first must refuse, as send and spawn do, by comparing events
+    kept = []
+
+    def ask(ctx, env):
+        kept.append(ctx)
+        if len(kept) == 2:
+            kept[0].request("double", 3)
+
+    system = rt.System()
+    system.register_service("double", lambda x: 2 * x)
+    system.register_behavior(rt.BehaviorDef(
+        name="asker", handlers={"ping": ask}, action_trees={"ping": ev.Seq()}))
+    a = system.spawn("asker", "a", rt.ActorState())
+    system.kick(a, "ping")
+    system.run_to_quiescence()
+    system.kick(a, "ping")
+    with pytest.raises(rt.ContractViolation,
+                       match=r"request\('double'\) outside a computation event of its own: "
+                             r"a context can call services only during its own delivery"):
+        system.run_to_quiescence()
+    assert kept[0].actor_id == kept[1].actor_id == a
+
+
+def test_request_calls_the_service_the_system_holds_at_the_call():
+    # services are looked up at each call, so one replaced after the
+    # actor was spawned (a tracer's wrapper, say) is the one called
+    results = []
+
+    def asking(ctx, env):
+        results.append(ctx.request("double", 21))
+
+    system = rt.System()
+    system.register_service("double", lambda x: 2 * x)
+    system.register_behavior(rt.BehaviorDef(
+        name="asker", handlers={"ping": asking}, action_trees={"ping": ev.Seq()}))
+    a = system.spawn("asker", "a", rt.ActorState())
+    system.services["double"] = lambda x: -x
+    system.kick(a, "ping")
+    system.run_to_quiescence()
+    assert results == [-21]
+
+
+def test_a_context_holds_no_request_of_its_own():
+    # request is a method that checks the event, not a slot bound per delivery
+    assert "request" not in rt.Context.__slots__
+    assert "request" in vars(rt.Context)
+
+
+@pytest.mark.parametrize("mode", ["sequential", "parallel"])
+def test_the_python_calls_of_one_delivery(mode):
+    # One pending message whose handler sends once: the delivery makes
+    # exactly these Python calls, and no constructor frame among them.  A
+    # lone message is a parallel round of one, taken without the shuffle.
+    def relay(ctx, env):
+        ctx.send(ctx.actor_id, "pong")
+
+    system = rt.System(mode=mode)
+    system.register_behavior(rt.BehaviorDef(
+        name="relay", handlers={"ping": relay, "pong": lambda ctx, env: None},
+        action_trees={"ping": ev.Send("self", "pong"), "pong": ev.Seq()}))
+    a = system.spawn("relay", "a", rt.ActorState())
+    system.kick(a, "ping")
+    calls = []
+
+    def profile(frame, what, _arg):
+        if what == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        system.deliver_next()
+    finally:
+        sys.setprofile(None)
+    scheduler = ["deliver_next", "_fill_batch"] if mode == "parallel" else ["deliver_next"]
+    assert calls == scheduler + ["_execute", "record", "allowed_keys", "relay", "send", "post"]
 
 
 def _relay_system(seen, forwarded_keys=(("ping", False),)):
